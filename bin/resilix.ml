@@ -193,6 +193,8 @@ let run_explore_guided jobs progress sc ~seed ~runs faults bound repro_out no_sh
           write_first_finding repro_out no_shrink (Dst.Explore.guided_to_repro g first);
           1)
 
+let scenario_names = List.map (fun s -> s.Dst.Scenario.name) Dst.Scenario.builtins
+
 (* Exploration exits like a fuzzer: 0 when every run upheld the
    invariants, 1 when a finding was made (and, with --repro-out, a
    minimized repro file written). *)
@@ -201,7 +203,7 @@ let run_explore jobs progress scenario_name seed runs faults bound repro_out no_
   match Dst.Scenario.find scenario_name with
   | None ->
       Printf.eprintf "unknown scenario %S (known: %s)\n" scenario_name
-        (String.concat ", " (List.map (fun s -> s.Dst.Scenario.name) Dst.Scenario.builtins));
+        (String.concat ", " scenario_names);
       2
   | Some sc ->
       if guided then
@@ -217,7 +219,7 @@ let run_health scenario_name seed faults =
   match Dst.Scenario.find scenario_name with
   | None ->
       Printf.eprintf "unknown scenario %S (known: %s)\n" scenario_name
-        (String.concat ", " (List.map (fun s -> s.Dst.Scenario.name) Dst.Scenario.builtins));
+        (String.concat ", " scenario_names);
       3
   | Some sc ->
       let faults = Option.value faults ~default:sc.Dst.Scenario.default_faults in
@@ -360,7 +362,11 @@ let scenario_t =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:"Scenario to explore: $(b,wget) or $(b,dp-inject).")
+    & info [] ~docv:"SCENARIO"
+        ~doc:
+          ("Scenario to explore: "
+          ^ String.concat ", " (List.map (Printf.sprintf "$(b,%s)") scenario_names)
+          ^ "."))
 
 let runs_t =
   Arg.(value & opt int 16 & info [ "runs" ] ~doc:"Number of seeded runs to explore.")

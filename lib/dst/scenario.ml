@@ -500,8 +500,10 @@ let storm_lines (r : report) =
         Printf.sprintf "served: %d responses, %d bytes received and verified" s.s_served
           s.s_bytes_in;
         Printf.sprintf "latency: p50=%dus p95=%dus p99=%dus" s.s_p50 s.s_p95 s.s_p99;
-        Printf.sprintf "outage: first kill at t=%dus, last recovery closed at t=%dus"
-          s.s_outage_at s.s_recovered_by;
+        (if s.s_outage_at = 0 then "outage: none (no kill in plan)"
+         else
+           Printf.sprintf "outage: first kill at t=%dus, last recovery closed at t=%dus"
+             s.s_outage_at s.s_recovered_by);
         Printf.sprintf "goodput timeline (%dus bins): %d bins" s.s_bin_us
           (Array.length s.s_goodput);
         Buffer.contents buf;

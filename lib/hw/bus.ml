@@ -19,17 +19,21 @@ let register t ~base ~len handler =
   if List.exists (overlaps claim) t.claims then invalid_arg "Bus.register: overlapping port range";
   t.claims <- claim :: t.claims
 
-let find t port = List.find_opt (fun c -> port >= c.base && port < c.base + c.len) t.claims
+(* Returned by [find] when no device claims the port, so the per-access
+   lookup allocates no option. *)
+let unclaimed = { base = 0; len = 0; handler = (fun ~reg:_ _ -> Ok 0) }
+
+let rec find port = function
+  | [] -> unclaimed
+  | c :: rest -> if port >= c.base && port < c.base + c.len then c else find port rest
 
 let io t op =
   match op with
-  | `In port -> (
-      match find t port with
-      | Some c -> c.handler ~reg:(port - c.base) Read
-      | None -> Ok 0xFFFF_FFFF)
-  | `Out (port, value) -> (
-      match find t port with
-      | Some c -> c.handler ~reg:(port - c.base) (Write value)
-      | None -> Ok 0)
+  | `In port ->
+      let c = find port t.claims in
+      if c == unclaimed then Ok 0xFFFF_FFFF else c.handler ~reg:(port - c.base) Read
+  | `Out (port, value) ->
+      let c = find port t.claims in
+      if c == unclaimed then Ok 0 else c.handler ~reg:(port - c.base) (Write value)
 
 let attach t kernel = Resilix_kernel.Kernel.set_io_handler kernel (io t)

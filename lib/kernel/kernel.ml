@@ -57,8 +57,10 @@ type pstate =
       resume : (Sysif.rx, Errno.t) result -> unit;
       abort : exn -> unit;
     }
+  | Resuming : { r_event : Engine.handle; r_k : ('a, unit) Effect.Deep.continuation } -> pstate
+      (* runnable, and [r_event] returns straight to the syscall's
+         continuation [r_k]: the closure-free form of [Runnable] *)
   | Send_wait of send_wait
-  | Sleep_wait of { event : Engine.handle; abort : exn -> unit }
   | Dead
 
 and send_wait = {
@@ -210,11 +212,32 @@ let make_runnable t proc ~cost ~abort go =
   in
   proc.state <- Runnable { event; abort }
 
+(* [make_runnable] for a syscall that simply returns [v] to its
+   continuation [k]: the same single scheduled event and the same kill
+   check when it fires, but built from [k] and [v] directly rather than
+   from [abort]/[go] closures. *)
+let resume_after t proc k ~cost v =
+  let event =
+    Engine.schedule t.engine ~after:cost (fun () ->
+        proc.state <- Running;
+        match proc.kill_pending with
+        | Some status ->
+            proc.kill_pending <- None;
+            Effect.Deep.discontinue k (Sysif.Killed_exn status)
+        | None -> Effect.Deep.continue k v)
+  in
+  proc.state <- Resuming { r_event = event; r_k = k }
+
+(* The [devio] kernel-call gate, in the order the general path checks
+   kernel calls: the call itself, then the port range. *)
+let devio_allowed proc port =
+  Privilege.allows proc.priv.Privilege.kcalls "devio" && Privilege.allows_port proc.priv port
+
 (* Wake a process blocked in Recv_wait with result [v]. *)
 let wake_receiver t proc ~cost v =
   match proc.state with
   | Recv_wait { resume; abort; _ } -> make_runnable t proc ~cost ~abort (fun () -> resume v)
-  | Running | Runnable _ | Send_wait _ | Sleep_wait _ | Dead ->
+  | Running | Runnable _ | Resuming _ | Send_wait _ | Dead ->
       invalid_arg "wake_receiver: process is not receiving"
 
 (* Does a Recv_wait filter accept a message/notification from [src]? *)
@@ -232,7 +255,7 @@ let rec deliver_notify t ~src ~(dst : proc) kind =
   match dst.state with
   | Recv_wait { filter; for_reply = false; _ } when filter_accepts filter src ->
       wake_receiver t dst ~cost:t.costs.notify (Ok (Sysif.Rx_notify { src; kind }))
-  | Running | Runnable _ | Recv_wait _ | Send_wait _ | Sleep_wait _ ->
+  | Running | Runnable _ | Resuming _ | Recv_wait _ | Send_wait _ ->
       let already =
         List.exists
           (fun (s, k) -> Endpoint.equal s src && Message.equal_notify_kind k kind)
@@ -279,7 +302,7 @@ and finalize t proc status =
               end
             | Recv_wait { filter = Sysif.From e; _ } when Endpoint.equal e ep ->
                 wake_receiver t other ~cost:t.costs.ipc (Error Errno.E_dead_src_dst)
-            | Running | Runnable _ | Recv_wait _ | Send_wait _ | Sleep_wait _ | Dead -> ()
+            | Running | Runnable _ | Resuming _ | Recv_wait _ | Send_wait _ | Dead -> ()
           end
         | Some _ | None -> ())
       t.procs;
@@ -309,9 +332,9 @@ let do_kill t proc status =
   | Runnable { event; abort } ->
       Engine.cancel event;
       abort (Sysif.Killed_exn status)
-  | Sleep_wait { event; abort } ->
-      Engine.cancel event;
-      abort (Sysif.Killed_exn status)
+  | Resuming { r_event; r_k } ->
+      Engine.cancel r_event;
+      Effect.Deep.discontinue r_k (Sysif.Killed_exn status)
   | Recv_wait { abort; _ } -> abort (Sysif.Killed_exn status)
   | Send_wait { sw_abort; _ } -> sw_abort (Sysif.Killed_exn status)
 
@@ -340,7 +363,7 @@ let try_deliver t ~(src_proc : proc) ~(dst : proc) ?(async = false) msg =
       wake_receiver t dst ~cost:t.costs.ipc
         (Ok (Sysif.Rx_msg { src = ep_of_proc src_proc; body = msg }));
       true
-  | Running | Runnable _ | Recv_wait _ | Send_wait _ | Sleep_wait _ | Dead -> false
+  | Running | Runnable _ | Resuming _ | Recv_wait _ | Send_wait _ | Dead -> false
 
 (* Find a queued sender acceptable to [filter]; lazily drops stale
    queue entries (senders that died or were already serviced). *)
@@ -489,8 +512,35 @@ let rec start_fiber t proc ~delay body =
   in
   make_runnable t proc ~cost:delay ~abort run
 
-(* The kernel half of every syscall.  [k] resumes the calling fiber. *)
+(* The kernel half of every syscall.  [k] resumes the calling fiber.
+   [Yield] and [Devio_*] are nearly every syscall a driver-VM program
+   makes, so they (and [Sleep], which has the same shape) are answered
+   here, before [handle_general] builds its per-call closures; each
+   still costs exactly one scheduled event, so event seqs (and Seeded
+   tie-breaks) are unchanged. *)
 and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
+ fun t proc op k ->
+  match op with
+  | Sysif.Yield cost -> resume_after t proc k ~cost ()
+  | Sysif.Sleep d -> resume_after t proc k ~cost:(max 0 d) ()
+  | Sysif.Devio_in port ->
+      if not (devio_allowed proc port) then
+        resume_after t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
+      else begin
+        Metrics.incr t.ctr.c_devios;
+        resume_after t proc k ~cost:t.costs.devio (t.io_handler (`In port))
+      end
+  | Sysif.Devio_out (port, value) ->
+      if not (devio_allowed proc port) then
+        resume_after t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
+      else begin
+        Metrics.incr t.ctr.c_devios;
+        let r = match t.io_handler (`Out (port, value)) with Ok _ -> Ok () | Error e -> Error e in
+        resume_after t proc k ~cost:t.costs.devio r
+      end
+  | _ -> handle_general t proc op k
+
+and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
  fun t proc op k ->
   let open Effect.Deep in
   let self_ep = ep_of_proc proc in
@@ -529,20 +579,6 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
   | Sysif.Metric_counter name -> ret_now (Metrics.counter t.metrics name)
   | Sysif.Metric_gauge name -> ret_now (Metrics.gauge t.metrics name)
   | Sysif.Metric_histogram name -> ret_now (Metrics.histogram t.metrics name)
-  | Sysif.Yield cost -> ret ~cost ()
-  | Sysif.Sleep d ->
-      let abort e = discontinue k e in
-      let event = Engine.schedule t.engine ~after:(max 0 d) (fun () ->
-          match proc.kill_pending with
-          | Some status ->
-              proc.kill_pending <- None;
-              proc.state <- Running;
-              abort (Sysif.Killed_exn status)
-          | None ->
-              proc.state <- Running;
-              continue k ())
-      in
-      proc.state <- Sleep_wait { event; abort }
   | Sysif.Exit status -> discontinue k (Sysif.Killed_exn status)
   | Sysif.Send (dst, msg) -> begin
       match lookup_ep t dst with
@@ -674,22 +710,6 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
         Hashtbl.remove proc.grants id;
         ret (Ok ())
       end
-  | Sysif.Devio_in port ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else if not (Privilege.allows_port proc.priv port) then ret (Error Errno.E_no_perm)
-      else begin
-        Metrics.incr t.ctr.c_devios;
-        ret ~cost:t.costs.devio (t.io_handler (`In port))
-      end
-  | Sysif.Devio_out (port, value) ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else if not (Privilege.allows_port proc.priv port) then ret (Error Errno.E_no_perm)
-      else begin
-        Metrics.incr t.ctr.c_devios;
-        match t.io_handler (`Out (port, value)) with
-        | Ok _ -> ret ~cost:t.costs.devio (Ok ())
-        | Error e -> ret ~cost:t.costs.devio (Error e)
-      end
   | Sysif.Irq_register line ->
       if kcall_denied () then ret (Error Errno.E_no_perm)
       else if not (Privilege.allows_irq proc.priv line) then ret (Error Errno.E_no_perm)
@@ -764,6 +784,9 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
             target_proc.priv <- priv;
             ret (Ok ())
       end
+  | Sysif.Yield _ | Sysif.Sleep _ | Sysif.Devio_in _ | Sysif.Devio_out _ ->
+      (* Answered by [handle_syscall]; never routed here. *)
+      assert false
 
 (* ------------------------------------------------------------------ *)
 (* Process creation                                                    *)

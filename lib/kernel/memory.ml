@@ -40,10 +40,7 @@ let set_u8 t addr v =
 
 let get_u32 t addr =
   check t ~addr ~len:4;
-  Char.code (Bytes.get t.data addr)
-  lor (Char.code (Bytes.get t.data (addr + 1)) lsl 8)
-  lor (Char.code (Bytes.get t.data (addr + 2)) lsl 16)
-  lor (Char.code (Bytes.get t.data (addr + 3)) lsl 24)
+  Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFF_FFFF
 
 let set_u32 t addr v =
   check t ~addr ~len:4;

@@ -84,6 +84,7 @@ type t = {
   mutable cand_seqs : int array;
   mutable cand_fires : (unit -> unit) array;
   mutable cand_handles : handle array;
+  mutable n_cand : int; (* live candidates collected so far this step *)
 }
 
 let create ?(policy = Fifo) () =
@@ -100,6 +101,7 @@ let create ?(policy = Fifo) () =
     cand_seqs = [||];
     cand_fires = [||];
     cand_handles = [||];
+    n_cand = 0;
   }
 
 let now t = t.clock
@@ -145,15 +147,13 @@ let pending t = t.ring_count + Heap.length t.overflow
    next event (amortized O(1) under load). *)
 let next_ring_time t =
   let i = ref t.clock in
-  let rec scan () =
+  while
     let b = Array.unsafe_get t.wheel (!i land wheel_mask) in
-    if b.b_head < b.b_len then !i
-    else begin
-      incr i;
-      scan ()
-    end
-  in
-  scan ()
+    b.b_head >= b.b_len
+  do
+    incr i
+  done;
+  !i
 
 (* The next instant at which an event fires.  On a same-instant tie
    between the overflow heap and the wheel, the heap's entries were
@@ -180,6 +180,18 @@ let grow_cand t =
   t.cand_seqs <- nseqs;
   t.cand_fires <- nfires;
   t.cand_handles <- nhandles
+
+(* Append one same-instant event to the candidate scratch buffers
+   unless it was cancelled. *)
+let add_cand t seq fire handle =
+  if not handle.cancelled then begin
+    let k = t.n_cand in
+    if Array.length t.cand_seqs = k then grow_cand t;
+    Array.unsafe_set t.cand_seqs k seq;
+    Array.unsafe_set t.cand_fires k fire;
+    Array.unsafe_set t.cand_handles k handle;
+    t.n_cand <- k + 1
+  end
 
 (* Which of the [k] live candidates (in scheduling/seq order in the
    scratch buffer) fires next.  [Fifo] would be 0; [Seeded] orders
@@ -216,20 +228,11 @@ let step_choice t =
        bucket, whose entries are already seq-sorted.  Cancelled entries
        are reaped here: they never fire, so dropping them changes only
        the [pending] count. *)
-    let k = ref 0 in
-    let add seq fire handle =
-      if not handle.cancelled then begin
-        if Array.length t.cand_seqs = !k then grow_cand t;
-        t.cand_seqs.(!k) <- seq;
-        t.cand_fires.(!k) <- fire;
-        t.cand_handles.(!k) <- handle;
-        incr k
-      end
-    in
+    t.n_cand <- 0;
     while (not (Heap.is_empty t.overflow)) && Heap.min_key t.overflow = at do
       let s = Heap.min_seq t.overflow in
       let e = Heap.pop_min t.overflow in
-      add s e.fire e.handle
+      add_cand t s e.fire e.handle
     done;
     if t.ring_count > 0 then begin
       let b = Array.unsafe_get t.wheel (at land wheel_mask) in
@@ -238,7 +241,7 @@ let step_choice t =
         (* A non-empty bucket under the clock's index holds exactly
            this instant's events (one instant per bucket at a time). *)
         for i = b.b_head to b.b_len - 1 do
-          add b.b_seqs.(i) b.b_fires.(i) b.b_handles.(i);
+          add_cand t b.b_seqs.(i) b.b_fires.(i) b.b_handles.(i);
           b.b_fires.(i) <- no_fire;
           b.b_handles.(i) <- dummy_handle
         done;
@@ -247,7 +250,7 @@ let step_choice t =
         t.ring_count <- t.ring_count - n
       end
     end;
-    let k = !k in
+    let k = t.n_cand in
     (match k with
     | 0 -> () (* every event at this instant was cancelled *)
     | 1 ->

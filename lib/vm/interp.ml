@@ -7,31 +7,54 @@ module Signal = Resilix_proto.Signal
 exception Check_failed of { index : int; detail : string }
 exception Io_failed of { port : int }
 
-type program = { base : int; insn_count : int }
+type program = { base : int; insn_count : int; decoded : Isa.decoded array; words : int array }
+
+(* [-1] is no 32-bit word, so a fresh slot misses on its first fetch. *)
+let make ~base ~insn_count =
+  {
+    base;
+    insn_count;
+    decoded = Array.make insn_count Isa.D_nop;
+    words = Array.make (2 * insn_count) (-1);
+  }
 
 let load ~base image =
   let mem = Api.memory () in
   Memory.write mem ~addr:base image;
-  { base; insn_count = Bytes.length image / Isa.instr_size }
+  make ~base ~insn_count:(Bytes.length image / Isa.instr_size)
 
 let mask32 v = v land 0xFFFF_FFFF
+let sigill = Sysif.Killed_exn (Status.Killed Signal.Sig_ill)
+
+(* Fetch instruction [index] from the process's memory.  The two code
+   words are always read and compared with the slot's shadow copy, so
+   the cached decode is reused only while the bytes it came from are
+   unchanged: a fault injected into the image, a wild [Store] over
+   code or a safecopy into it shows on the very next fetch, and no
+   write path needs to know the cache exists.  Illegal opcodes are
+   never cached, so they trap on every fetch. *)
+let fetch mem program index =
+  (* Out-of-image program counters are treated like executing
+     unmapped memory: an illegal-instruction CPU exception. *)
+  if index < 0 || index >= program.insn_count then raise sigill;
+  let addr = program.base + (index * Isa.instr_size) in
+  let lo = Memory.get_u32 mem addr in
+  let hi = Memory.get_u32 mem (addr + 4) in
+  let w = 2 * index in
+  if Array.unsafe_get program.words w = lo && Array.unsafe_get program.words (w + 1) = hi then
+    Array.unsafe_get program.decoded index
+  else
+    match Isa.decode_words ~lo ~hi ~index with
+    | d ->
+        Array.unsafe_set program.decoded index d;
+        Array.unsafe_set program.words w lo;
+        Array.unsafe_set program.words (w + 1) hi;
+        d
+    | exception Isa.Illegal_instruction _ -> raise sigill
 
 let run ?(fuel_slice = 32) program ~regs =
   if Array.length regs <> 8 then invalid_arg "Interp.run: want 8 registers";
   let mem = Api.memory () in
-  let fetch_buf = Bytes.create Isa.instr_size in
-  let fetch index =
-    (* Out-of-image program counters are treated like executing
-       unmapped memory: an illegal-instruction CPU exception. *)
-    if index < 0 || index >= program.insn_count then
-      raise (Sysif.Killed_exn (Status.Killed Signal.Sig_ill));
-    Memory.blit_out mem ~addr:(program.base + (index * Isa.instr_size)) ~dst:fetch_buf ~dst_off:0
-      ~len:Isa.instr_size;
-    match Isa.decode fetch_buf ~index:0 with
-    | d -> d
-    | exception Isa.Illegal_instruction _ ->
-        raise (Sysif.Killed_exn (Status.Killed Signal.Sig_ill))
-  in
   let pc = ref 0 in
   let fuel = ref fuel_slice in
   let running = ref true in
@@ -43,7 +66,7 @@ let run ?(fuel_slice = 32) program ~regs =
     end;
     let index = !pc in
     incr pc;
-    match fetch index with
+    match fetch mem program index with
     | Isa.D_nop -> ()
     | Isa.D_movi (rd, imm) -> regs.(rd) <- mask32 imm
     | Isa.D_mov (rd, rs) -> regs.(rd) <- regs.(rs)

@@ -23,10 +23,24 @@ exception Io_failed of { port : int }
 (** A mediated port access was rejected (e.g. a corrupted port number
     outside the driver's privilege range). *)
 
-type program = {
+type program = private {
   base : int;  (** address of the loaded image in the process *)
   insn_count : int;  (** number of encoded instructions *)
+  decoded : Isa.decoded array;  (** decode cache, one slot per instruction *)
+  words : int array;
+      (** the two 32-bit code words each cached decode came from
+          (slot [i] at [2i] and [2i+1]); a fetch reuses a decode only
+          while memory still holds exactly these words *)
 }
+(** A loaded program.  Fetches always read the code from the process's
+    memory and check it against [words], so the cache needs no
+    invalidation: any write to the image — fault injection, a wild
+    store, a copy into code — is seen on the next fetch. *)
+
+val make : base:int -> insn_count:int -> program
+(** Describe [insn_count] instructions already in memory at [base],
+    with an empty decode cache.  The only constructor.
+    @raise Invalid_argument if [insn_count] is negative. *)
 
 val load : base:int -> bytes -> program
 (** Copy an assembled image into the *calling process's* memory at

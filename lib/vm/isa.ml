@@ -191,18 +191,17 @@ exception Illegal_instruction of { index : int; byte : int }
 (* Sign-extend a 32-bit value. *)
 let signed imm = if imm land 0x8000_0000 <> 0 then imm - 0x1_0000_0000 else imm
 
-let decode image ~index =
-  let off = index * instr_size in
-  if off < 0 || off + instr_size > Bytes.length image then
-    raise (Illegal_instruction { index; byte = -1 });
-  let byte i = Char.code (Bytes.get image (off + i)) in
-  let op = byte 0 in
+(* Decode from the two little-endian 32-bit halves of an encoding:
+   [lo] holds [opcode, rd, rs, 0], [hi] the immediate.  Reads no
+   memory and allocates only the result. *)
+let decode_words ~lo ~hi ~index =
+  let op = lo land 0xFF in
   (* Register fields are architecturally 3 bits: corrupted high bits
      are ignored rather than trapping, like dense real-world ISAs —
      a mutated register field yields wrong behaviour, not #UD. *)
-  let rd = byte 1 land 7 in
-  let rs = byte 2 land 7 in
-  let imm = byte 4 lor (byte 5 lsl 8) lor (byte 6 lsl 16) lor (byte 7 lsl 24) in
+  let rd = (lo lsr 8) land 7 in
+  let rs = (lo lsr 16) land 7 in
+  let imm = hi in
   let simm = signed imm in
   if op = op_nop then D_nop
   else if op = op_movi then D_movi (rd, simm)
@@ -228,6 +227,14 @@ let decode image ~index =
   else if op = op_ret then D_ret
   else if op = op_fail then D_fail
   else raise (Illegal_instruction { index; byte = op })
+
+let decode image ~index =
+  let off = index * instr_size in
+  if off < 0 || off + instr_size > Bytes.length image then
+    raise (Illegal_instruction { index; byte = -1 });
+  let lo = Int32.to_int (Bytes.get_int32_le image off) land 0xFFFF_FFFF in
+  let hi = Int32.to_int (Bytes.get_int32_le image (off + 4)) land 0xFFFF_FFFF in
+  decode_words ~lo ~hi ~index
 
 let disassemble_one image ~index =
   match decode image ~index with

@@ -89,6 +89,13 @@ val decode : bytes -> index:int -> decoded
 (** Decode the instruction at instruction index [index] of an encoded
     image.  @raise Illegal_instruction on junk. *)
 
+val decode_words : lo:int -> hi:int -> index:int -> decoded
+(** [decode_words ~lo ~hi ~index] decodes the instruction whose 8-byte
+    encoding reads as the little-endian 32-bit words [lo] (opcode,
+    rd, rs) and [hi] (immediate); [index] only labels the exception.
+    This is what the interpreter's fetch uses.
+    @raise Illegal_instruction on an invalid opcode. *)
+
 val opcode_info : int -> string option
 (** Mnemonic for an opcode byte, or [None] if it is not valid —
     exposed so the fault injector can report what it corrupted. *)

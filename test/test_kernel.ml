@@ -386,6 +386,61 @@ let test_io_port_privilege () =
   | Some (Error Errno.E_no_perm) -> ()
   | _ -> Alcotest.fail "port outside the privileged range must be denied"
 
+(* The mediated-I/O cost contract: each allowed port access advances
+   the clock by exactly [costs.devio], and a denied one (port outside
+   the range, or no [devio] kernel call) returns E_no_perm at the cost
+   of a plain syscall. *)
+let test_devio_cost_contract () =
+  let costs = Kernel.default_costs in
+  let n = 50 in
+  let run_driver priv body =
+    let engine, kernel = make_kernel () in
+    Kernel.set_io_handler kernel (fun _ -> Ok 0xAB);
+    let elapsed = ref (-1) in
+    Kernel.register_program kernel "drv" (fun () ->
+        let t0 = Api.now () in
+        body ();
+        elapsed := Api.now () - t0);
+    (match Kernel.spawn_dynamic kernel ~name:"drv" ~program:"drv" ~args:[] ~priv ~mem_kb:64 with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "spawn");
+    Engine.run engine;
+    !elapsed
+  in
+  let io_priv =
+    {
+      Privilege.none with
+      Privilege.ipc_to = Privilege.All;
+      kcalls = Privilege.All;
+      io_ports = [ (0x200, 0x20F); (0x300, 0x30F) ];
+    }
+  in
+  let allowed () =
+    for i = 1 to n do
+      (match Api.devio_in (0x300 + (i mod 16)) with
+      | Ok 0xAB -> ()
+      | _ -> Alcotest.fail "allowed devio_in failed");
+      match Api.devio_out 0x205 i with Ok () -> () | Error _ -> Alcotest.fail "allowed devio_out failed"
+    done
+  in
+  Alcotest.(check int) "2N allowed accesses cost 2N x devio" (2 * n * costs.devio)
+    (run_driver io_priv allowed);
+  let denied port () =
+    for _ = 1 to n do
+      (match Api.devio_in port with
+      | Error Errno.E_no_perm -> ()
+      | _ -> Alcotest.fail "denied devio_in must be E_no_perm");
+      match Api.devio_out port 1 with
+      | Error Errno.E_no_perm -> ()
+      | _ -> Alcotest.fail "denied devio_out must be E_no_perm"
+    done
+  in
+  Alcotest.(check int) "out-of-range port costs a syscall" (2 * n * costs.syscall)
+    (run_driver io_priv (denied 0x400));
+  let no_kcall = { io_priv with Privilege.kcalls = Privilege.Only [ "alarm" ] } in
+  Alcotest.(check int) "no devio kcall costs a syscall" (2 * n * costs.syscall)
+    (run_driver no_kcall (denied 0x300))
+
 let test_mmu_fault_kills () =
   let engine, kernel = make_kernel () in
   let _victim =
@@ -661,5 +716,6 @@ let tests =
     Alcotest.test_case "receive aborted when source dies" `Quick test_receive_aborted_when_source_dies;
     Alcotest.test_case "SIGTERM as notification" `Quick test_sigterm_is_notification;
     Alcotest.test_case "exit recorded" `Quick test_exit_queue_for_pm;
+    Alcotest.test_case "devio cost contract" `Quick test_devio_cost_contract;
     QCheck_alcotest.to_alcotest prop_many_processes_all_messages_delivered;
   ]

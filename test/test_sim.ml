@@ -428,6 +428,32 @@ let test_trace_clear_releases_payloads () =
   Gc.full_major ();
   Alcotest.(check bool) "cleared payload is collectable" true (Weak.get live 0 = None)
 
+(* Minor words per [Engine.step] with one self-rescheduling timer, so
+   every instant holds a single event: Seeded collects one candidate
+   and has no choice to make, and must cost no more than Fifo.  The
+   warm-up runs the clock around the whole timing wheel first, so
+   bucket growth is not counted. *)
+let step_words policy =
+  let engine = Engine.create ~policy () in
+  let rec tick () = ignore (Engine.schedule engine ~after:(Time.usec 1) tick) in
+  ignore (Engine.schedule engine ~after:(Time.usec 1) tick);
+  for _ = 1 to 2_000 do
+    ignore (Engine.step engine)
+  done;
+  let steps = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to steps do
+    ignore (Engine.step engine)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int steps
+
+let test_seeded_width1_step_allocation () =
+  let fifo = step_words Engine.Fifo and seeded = step_words (Engine.Seeded 7) in
+  Printf.printf "width-1 step: fifo %.2f words, seeded %.2f words\n" fifo seeded;
+  Alcotest.(check bool)
+    (Printf.sprintf "seeded %.2f <= fifo %.2f words/step" seeded fifo)
+    true (seeded <= fifo)
+
 (* Property: popping the heap yields keys in nondecreasing order, with
    FIFO sequence order inside equal keys. *)
 let prop_heap_sorted =
@@ -576,6 +602,8 @@ let tests =
     Alcotest.test_case "policy: trace is compact" `Quick test_policy_trace_is_compact;
     Alcotest.test_case "policy: pinned decision traces" `Quick test_policy_pinned_traces;
     Alcotest.test_case "policy: pinned storm checksum" `Quick test_policy_pinned_storm;
+    Alcotest.test_case "policy: seeded width-1 step allocates like fifo" `Quick
+      test_seeded_width1_step_allocation;
     Alcotest.test_case "heap: pop releases values" `Quick test_heap_pop_releases_values;
     Alcotest.test_case "trace query" `Quick test_trace_query;
     Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;

@@ -159,6 +159,23 @@ let test_retransmit_through_outage () =
     (s.Scenario.s_completed >= s.Scenario.s_requests * 8 / 10);
   Alcotest.(check int) "nothing corrupted" 0 s.Scenario.s_mismatches
 
+(* With no kill in the plan, the report says so instead of printing
+   the "no kill" sentinel as a kill time. *)
+let test_no_fault_storm_report () =
+  let sc = Scenario.storm in
+  let plan = sc.Scenario.plan ~seed:7 ~faults:0 in
+  let r = sc.Scenario.run ~seed:7 ~policy:Engine.Fifo ~plan in
+  Alcotest.(check int) "no kill planned" 0 (storm_stats r).Scenario.s_outage_at;
+  let lines = Scenario.storm_lines r in
+  let has sub line =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length line && (String.sub line i n = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "no t=0us in the report" false (List.exists (has "t=0us") lines);
+  Alcotest.(check bool) "outage line says none" true
+    (List.mem "outage: none (no kill in plan)" lines)
+
 let tests =
   [
     Alcotest.test_case "storm smoke: kill mid-storm, invariants hold" `Quick test_storm_smoke;
@@ -169,4 +186,5 @@ let tests =
     Alcotest.test_case "many concurrent connections, clean run" `Quick
       test_many_connections_clean;
     Alcotest.test_case "retransmit through the outage" `Quick test_retransmit_through_outage;
+    Alcotest.test_case "no-fault storm reports no outage" `Quick test_no_fault_storm_report;
   ]
