@@ -1,22 +1,59 @@
 type t = int
 
+(* Slicing-by-8: eight 256-entry tables in one array.  Entry
+   [k*256 + n] is the CRC register after feeding byte [n] followed by
+   [k] zero bytes, so eight input bytes fold in with eight lookups.
+   Built on first use, not at module initialisation, which would put
+   the 2048-word build into the start-up of every program linking this
+   library. *)
 let table =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-         done;
-         !c))
+    (let t = Array.make 2048 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for i = 256 to 2047 do
+       let prev = t.(i - 256) in
+       t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+     done;
+     t)
 
 let start = 0xFFFFFFFF
 
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] get32_le b i =
+  let v = get32u b i in
+  Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFFFFFF
+
 let update crc b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Crc32.update";
-  let table = Lazy.force table in
-  let c = ref crc in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Crc32.update";
+  let t = Lazy.force table in
+  let c = ref (crc land 0xFFFFFFFF) in
+  let i = ref off in
+  let stop = off + len in
+  while !i <= stop - 8 do
+    let one = get32_le b !i lxor !c and two = get32_le b (!i + 4) in
+    c :=
+      Array.unsafe_get t (1792 + (one land 0xFF))
+      lxor Array.unsafe_get t (1536 + ((one lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (1280 + ((one lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (1024 + (one lsr 24))
+      lxor Array.unsafe_get t (768 + (two land 0xFF))
+      lxor Array.unsafe_get t (512 + ((two lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((two lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (two lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b !i)) land 0xFF) lxor (!c lsr 8);
+    incr i
   done;
   !c
 

@@ -1,3 +1,5 @@
+module Rng = Resilix_sim.Rng
+
 type t = {
   seed : int;
   sectors : int;
@@ -9,31 +11,21 @@ let create ~seed ~sectors ~sector_size = { seed; sectors; sector_size; written =
 let sector_size t = t.sector_size
 let sectors t = t.sectors
 
-(* splitmix64 keyed by (seed, lba, word index): deterministic content
-   for never-written sectors. *)
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let generate t lba =
-  let buf = Bytes.create t.sector_size in
-  let key = Int64.add (Int64.of_int t.seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lba + 1))) in
-  let words = t.sector_size / 8 in
-  for w = 0 to words - 1 do
-    let v = mix (Int64.add key (Int64.of_int w)) in
-    Bytes.set_int64_le buf (w * 8) v
-  done;
-  buf
-
-let sector t lba =
-  match Hashtbl.find_opt t.written lba with Some b -> b | None -> generate t lba
-
+(* Never-written sector [lba] holds the [Rng.fill] words at index
+   [lba + 1], stride 1, generated straight into the output buffer;
+   bytes past the last whole word are zero. *)
 let read t ~lba ~count =
-  if lba < 0 || count < 0 || lba + count > t.sectors then invalid_arg "Blockstore.read";
-  let out = Bytes.create (count * t.sector_size) in
+  if lba < 0 || count < 0 || lba > t.sectors - count then invalid_arg "Blockstore.read";
+  let ss = t.sector_size in
+  let words = ss / 8 in
+  let out = Bytes.create (count * ss) in
   for i = 0 to count - 1 do
-    Bytes.blit (sector t (lba + i)) 0 out (i * t.sector_size) t.sector_size
+    let pos = i * ss in
+    match Hashtbl.find_opt t.written (lba + i) with
+    | Some b -> Bytes.blit b 0 out pos ss
+    | None ->
+        Rng.fill out ~pos ~words ~seed:t.seed ~index:(lba + i + 1) ~stride:1L;
+        Bytes.fill out (pos + (8 * words)) (ss - (8 * words)) '\000'
   done;
   out
 

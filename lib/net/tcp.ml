@@ -64,7 +64,8 @@ type t = {
   mutable peer_isn_known : bool;
   mutable peer_isn : int;
   mutable rcv_nxt : int;  (* next expected peer stream offset *)
-  rx_buf : Buffer.t;  (* in-order data awaiting the application *)
+  rx_buf : Buffer.t;  (* in-order data; bytes from [rx_off] await the application *)
+  mutable rx_off : int;  (* bytes at the front of [rx_buf] already taken *)
   ooo : (int, bytes) Hashtbl.t;  (* out-of-order segments by peer offset *)
   mutable peer_fin_offset : int option;
   mutable peer_fin_delivered : bool;
@@ -111,12 +112,13 @@ let create cfg cb state =
     peer_isn = 0;
     rcv_nxt = 1;
     rx_buf = Buffer.create 4096;
+    rx_off = 0;
     ooo = Hashtbl.create 16;
     peer_fin_offset = None;
     peer_fin_delivered = false;
   }
 
-let rx_available t = Buffer.length t.rx_buf
+let rx_available t = Buffer.length t.rx_buf - t.rx_off
 let tx_space t = t.cfg.tx_buffer - t.tx_len
 let is_established t = t.state = Established
 let retransmissions t = t.retransmissions
@@ -127,7 +129,7 @@ let peer_closed t =
 let is_closed t = t.state = Done
 
 (* Our advertised window: free receive-buffer space. *)
-let advertised_window t = max 0 (t.cfg.rx_window - Buffer.length t.rx_buf)
+let advertised_window t = max 0 (t.cfg.rx_window - rx_available t)
 
 let wire_seq t offset = mask32 (t.cfg.isn + offset)
 let wire_ack t = mask32 (t.peer_isn + t.rcv_nxt)
@@ -256,15 +258,28 @@ let send t ~now data ~off ~len =
     accept
   end
 
+(* The taken bytes are copied out once.  The buffer is emptied when
+   all of it has been taken; a prefix taken by partial reads is dropped
+   only once it reaches a window's worth, so each byte is moved at most
+   once more. *)
 let recv t ~max =
-  let have = Buffer.length t.rx_buf in
-  let take = min max have in
+  let take = min max (rx_available t) in
   if take = 0 then Bytes.empty
   else begin
-    let all = Buffer.to_bytes t.rx_buf in
-    Buffer.clear t.rx_buf;
-    if take < have then Buffer.add_subbytes t.rx_buf all take (have - take);
-    Bytes.sub all 0 take
+    (* [Buffer.sub] returns a fresh string that nothing else holds. *)
+    let data = Bytes.unsafe_of_string (Buffer.sub t.rx_buf t.rx_off take) in
+    t.rx_off <- t.rx_off + take;
+    if t.rx_off = Buffer.length t.rx_buf then begin
+      Buffer.clear t.rx_buf;
+      t.rx_off <- 0
+    end
+    else if t.rx_off >= t.cfg.rx_window then begin
+      let rest = Buffer.sub t.rx_buf t.rx_off (rx_available t) in
+      Buffer.clear t.rx_buf;
+      Buffer.add_string t.rx_buf rest;
+      t.rx_off <- 0
+    end;
+    data
   end
 
 let close t ~now =

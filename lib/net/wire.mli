@@ -28,7 +28,9 @@ type packet = { src_ip : int; dst_ip : int; body : ip_payload }
 type frame = { dst_mac : int; src_mac : int; packet : packet }
 
 val encode : frame -> bytes
-(** Serialize to link bytes. *)
+(** Serialize to link bytes.  @raise Invalid_argument when the payload
+    is longer than 65,535 bytes, which the 16-bit length field cannot
+    carry. *)
 
 val decode : bytes -> (frame, string) result
 (** Parse and CRC-check link bytes. *)

@@ -2,7 +2,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -14,6 +14,23 @@ let bits64 t =
   mix t.state
 
 let split t = { state = bits64 t }
+
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* [mix] is inlined into this loop, so the words stay unboxed.  A
+   per-word call to [mix] from another library could not be: dune's
+   dev profile compiles with [-opaque], and every [int64] crossing such
+   a call is boxed. *)
+let fill b ~pos ~words ~seed ~index ~stride =
+  if pos < 0 || words < 0 || pos > Bytes.length b || words > (Bytes.length b - pos) / 8 then
+    invalid_arg "Rng.fill";
+  let z = ref (Int64.add (Int64.of_int seed) (Int64.mul golden_gamma (Int64.of_int index))) in
+  for i = 0 to words - 1 do
+    let v = mix !z in
+    set64u b (pos + (8 * i)) (if Sys.big_endian then swap64 v else v);
+    z := Int64.add !z stride
+  done
 
 (* Hierarchical seeding: the child seed is a pure function of
    (seed, index) — no generator state is involved, so siblings are

@@ -21,6 +21,15 @@ val derive : seed:int -> index:int -> int
     to give each trial of a campaign its own hermetic seed.
     [index] must be non-negative. *)
 
+val fill : bytes -> pos:int -> words:int -> seed:int -> index:int -> stride:int64 -> unit
+(** [fill b ~pos ~words ~seed ~index ~stride] writes [words]
+    little-endian 64-bit words at [pos]: word [i] is splitmix64's
+    finaliser applied to [seed + γ·index + stride·i], where γ is the
+    golden-ratio increment [0x9E3779B97F4A7C15].  It is the one
+    generator of deterministic content (file and disk data), filling a
+    whole buffer per call.  @raise Invalid_argument when the words do
+    not fit in [b] at [pos]. *)
+
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 

@@ -111,6 +111,78 @@ let prop_md5_injective_smoke =
     QCheck.(pair (string_of_size (QCheck.Gen.int_bound 40)) (string_of_size (QCheck.Gen.int_bound 40)))
     (fun (a, b) -> a = b || Md5.digest_string a <> Md5.digest_string b)
 
+(* Byte-at-a-time reference copies of the earlier CRC-32 and FNV-1a
+   kernels: the word-at-a-time kernels must agree with them on every
+   offset and length, aligned or not. *)
+
+let ref_crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let ref_crc32 crc b ~off ~len =
+  let c = ref crc in
+  for i = off to off + len - 1 do
+    c := ref_crc_table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c
+
+let ref_fnv h b ~off ~len =
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)))) 0x100000001b3L
+  done;
+  !h
+
+let random_buffer = QCheck.(pair (string_of_size (QCheck.Gen.return 130)) (int_bound 0xFFFF_FFFF))
+
+let every_range f =
+  let ok = ref true in
+  for off = 0 to 64 do
+    for len = 0 to 64 do
+      if not (f ~off ~len) then ok := false
+    done
+  done;
+  !ok
+
+let prop_crc32_oracle =
+  QCheck.Test.make ~name:"crc32 = byte-at-a-time reference on every off/len in 0..64"
+    ~count:30 random_buffer (fun (s, crc) ->
+      let b = Bytes.of_string s in
+      every_range (fun ~off ~len ->
+          Crc32.update crc b ~off ~len = ref_crc32 crc b ~off ~len
+          && Crc32.update Crc32.start b ~off ~len = ref_crc32 Crc32.start b ~off ~len))
+
+let prop_fnv_oracle =
+  QCheck.Test.make ~name:"fnv = byte-at-a-time reference on every off/len in 0..64" ~count:30
+    random_buffer (fun (s, h) ->
+      let b = Bytes.of_string s in
+      let h = Int64.of_int h in
+      every_range (fun ~off ~len ->
+          Fnv.update h b ~off ~len = ref_fnv h b ~off ~len
+          && Fnv.update Fnv.start b ~off ~len = ref_fnv Fnv.start b ~off ~len))
+
+(* [off + len] overflows for these arguments; the range check must
+   still reject them before any unchecked load. *)
+let test_range_checks_cannot_overflow () =
+  let b = Bytes.make 16 'x' in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted an out-of-range slice" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "Crc32.update ~off:1 ~len:max_int" (fun () -> Crc32.update Crc32.start b ~off:1 ~len:max_int);
+  rejects "Fnv.update ~off:1 ~len:max_int" (fun () -> Fnv.update Fnv.start b ~off:1 ~len:max_int);
+  rejects "Crc32.update ~off:17" (fun () -> Crc32.update Crc32.start b ~off:17 ~len:0);
+  rejects "Fnv.update ~len:17" (fun () -> Fnv.update Fnv.start b ~off:0 ~len:17);
+  rejects "Crc32.update ~off:-1" (fun () -> Crc32.update Crc32.start b ~off:(-1) ~len:1);
+  rejects "Fnv.update ~len:-1" (fun () -> Fnv.update Fnv.start b ~off:0 ~len:(-1));
+  Alcotest.(check int) "empty slice at the end is fine" Crc32.start
+    (Crc32.update Crc32.start b ~off:16 ~len:0)
+
 let tests =
   List.mapi
     (fun i (input, expected) ->
@@ -129,4 +201,7 @@ let tests =
       QCheck_alcotest.to_alcotest prop_streaming_crc;
       QCheck_alcotest.to_alcotest prop_streaming_fnv;
       QCheck_alcotest.to_alcotest prop_md5_injective_smoke;
+      QCheck_alcotest.to_alcotest prop_crc32_oracle;
+      QCheck_alcotest.to_alcotest prop_fnv_oracle;
+      Alcotest.test_case "range checks cannot overflow" `Quick test_range_checks_cannot_overflow;
     ]

@@ -117,6 +117,75 @@ let prop_blockstore_reads_stable =
       let two = Blockstore.read s ~lba ~count in
       Bytes.equal one two)
 
+(* Reference copy of the earlier per-sector generator: a never-written
+   sector is splitmix64 over (seed, lba, word index), built in its own
+   buffer one boxed word at a time. *)
+let ref_mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let ref_sector ~seed lba =
+  let buf = Bytes.create 512 in
+  let key = Int64.add (Int64.of_int seed) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (lba + 1))) in
+  for w = 0 to 63 do
+    Bytes.set_int64_le buf (w * 8) (ref_mix (Int64.add key (Int64.of_int w)))
+  done;
+  buf
+
+let prop_blockstore_matches_reference =
+  QCheck.Test.make ~name:"blockstore read = reference over written and unwritten sectors"
+    ~count:100
+    QCheck.(
+      quad (int_bound 1_000_000) (small_list (pair (int_bound 63) printable_char)) (int_bound 63)
+        (int_range 0 16))
+    (fun (seed, writes, lba, count) ->
+      let count = min count (64 - lba) in
+      let s = Blockstore.create ~seed ~sectors:64 ~sector_size:512 in
+      let written = Hashtbl.create 8 in
+      List.iter
+        (fun (at, c) ->
+          let data = Bytes.make 512 c in
+          Blockstore.write s ~lba:at data;
+          Hashtbl.replace written at data)
+        writes;
+      let expected =
+        Bytes.concat Bytes.empty
+          (List.init count (fun i ->
+               match Hashtbl.find_opt written (lba + i) with
+               | Some d -> d
+               | None -> ref_sector ~seed (lba + i)))
+      in
+      Bytes.equal expected (Blockstore.read s ~lba ~count))
+
+(* Unwritten sectors are generated straight into the output buffer, so
+   a read allocates nothing on the minor heap beyond a small constant
+   (the output buffer itself is a major-heap block at these sizes).  A
+   per-word call into a splitmix64 kept in another library boxes every
+   word and breaks this bound by orders of magnitude. *)
+let blockstore_read_words_bound = 4.
+
+let test_blockstore_read_allocation () =
+  let s = Blockstore.create ~seed:3 ~sectors:4096 ~sector_size:512 in
+  let words count =
+    ignore (Blockstore.read s ~lba:100 ~count);
+    let reps = 100 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (Blockstore.read s ~lba:100 ~count))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int reps
+  in
+  List.iter
+    (fun count ->
+      let w = words count in
+      Printf.printf "Blockstore.read of %d unwritten sectors: %.2f minor words\n" count w;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d sectors: %.2f words <= %.0f" count w blockstore_read_words_bound)
+        true
+        (w <= blockstore_read_words_bound))
+    [ 8; 64 ]
+
 (* --- devices, driven through raw bus I/O --- *)
 
 let test_audio_underruns () =
@@ -198,4 +267,6 @@ let tests =
     Alcotest.test_case "printer prints in order" `Quick test_printer_prints_in_order;
     Alcotest.test_case "cd burn gap ruins disc" `Quick test_cd_gap_ruins_disc;
     Alcotest.test_case "nic wedge + bios reset" `Quick test_nic_wedges_on_garbage_and_master_reset;
+    QCheck_alcotest.to_alcotest prop_blockstore_matches_reference;
+    Alcotest.test_case "blockstore read allocation bound" `Quick test_blockstore_read_allocation;
   ]

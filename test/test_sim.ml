@@ -120,6 +120,22 @@ let test_rng_split_independent () =
    so a child stream cannot depend on how many siblings exist or in
    which order they are derived — the property the campaign runner's
    per-trial seeding rests on. *)
+(* [Rng.fill] writes unchecked; its range check must hold even where
+   [pos + 8 * words] would overflow. *)
+let test_rng_fill_range_check () =
+  let b = Bytes.make 16 'x' in
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an out-of-range fill" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "~pos:1 ~words:max_int" (fun () -> Rng.fill b ~pos:1 ~words:max_int ~seed:1 ~index:0 ~stride:1L);
+  rejects "~pos:1 ~words:2" (fun () -> Rng.fill b ~pos:1 ~words:2 ~seed:1 ~index:0 ~stride:1L);
+  rejects "~pos:17" (fun () -> Rng.fill b ~pos:17 ~words:0 ~seed:1 ~index:0 ~stride:1L);
+  rejects "~pos:-1" (fun () -> Rng.fill b ~pos:(-1) ~words:1 ~seed:1 ~index:0 ~stride:1L);
+  Rng.fill b ~pos:8 ~words:1 ~seed:1 ~index:0 ~stride:1L;
+  Alcotest.(check string) "bytes before [pos] untouched" "xxxxxxxx" (Bytes.sub_string b 0 8)
+
 let test_rng_derive_order_independent () =
   let forward = List.init 20 (fun i -> Rng.derive ~seed:42 ~index:i) in
   let backward = List.rev (List.init 20 (fun i -> Rng.derive ~seed:42 ~index:(19 - i))) in
@@ -615,4 +631,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_model;
     QCheck_alcotest.to_alcotest prop_engine_no_time_travel;
+    Alcotest.test_case "rng fill range check" `Quick test_rng_fill_range_check;
   ]
