@@ -254,25 +254,30 @@ let run_health scenario_name seed faults =
    httpd worker pool while the plan SIGKILLs the Ethernet driver
    mid-storm.  The report (tail latencies, error counts, goodput
    timeline) is virtual-time only: byte-identical for any repeat of
-   the same seed.  Exit 1 when a DST invariant is violated. *)
+   the same seed.  Exit 1 when a DST invariant is violated, 2 on a
+   scale below one request, connection or worker. *)
 let run_storm requests concurrency workers backlog seed faults bound =
-  let sc =
+  match
     if requests = 64 && concurrency = 32 && workers = 8 && backlog = 16 then Dst.Scenario.storm
     else Dst.Scenario.storm_sized ~requests ~concurrency ~workers ~backlog ()
-  in
-  let faults = Option.value faults ~default:sc.Dst.Scenario.default_faults in
-  let plan = sc.Dst.Scenario.plan ~seed ~faults in
-  let report = sc.Dst.Scenario.run ~seed ~policy:Resilix_sim.Engine.Fifo ~plan in
-  Printf.printf "storm %s: %d connection(s), %d worker(s), backlog %d, seed %d\n"
-    sc.Dst.Scenario.name concurrency workers backlog seed;
-  List.iter print_endline (Dst.Scenario.storm_lines report);
-  match Dst.Invariant.check ~bound report with
-  | [] ->
-      Printf.printf "invariants: OK\n";
-      0
-  | vs ->
-      List.iter (fun v -> Printf.printf "VIOLATION %s\n" (Dst.Invariant.pp_violation v)) vs;
-      1
+  with
+  | exception Invalid_argument msg ->
+      Printf.eprintf "resilix storm: %s\n" msg;
+      2
+  | sc -> (
+      let faults = Option.value faults ~default:sc.Dst.Scenario.default_faults in
+      let plan = sc.Dst.Scenario.plan ~seed ~faults in
+      let report = sc.Dst.Scenario.run ~seed ~policy:Resilix_sim.Engine.Fifo ~plan in
+      Printf.printf "storm %s: %d connection(s), %d worker(s), backlog %d, seed %d\n"
+        sc.Dst.Scenario.name concurrency workers backlog seed;
+      List.iter print_endline (Dst.Scenario.storm_lines report);
+      match Dst.Invariant.check ~bound report with
+      | [] ->
+          Printf.printf "invariants: OK\n";
+          0
+      | vs ->
+          List.iter (fun v -> Printf.printf "VIOLATION %s\n" (Dst.Invariant.pp_violation v)) vs;
+          1)
 
 let run_replay file do_shrink out =
   match Dst.Repro.load file with

@@ -464,6 +464,11 @@ let storm_run ~requests ~concurrency ~workers ~backlog ~seed ~policy ~plan =
     ~applied:!applied ~expected_spans:!expected_spans ~targets:[ "eth.rtl8139" ]
 
 let storm_sized ?name ~requests ~concurrency ~workers ~backlog () =
+  List.iter
+    (fun (what, n) ->
+      if n < 1 then
+        invalid_arg (Printf.sprintf "Scenario.storm_sized: %s must be >= 1 (got %d)" what n))
+    [ ("requests", requests); ("concurrency", concurrency); ("workers", workers) ];
   (* Kills land mid-storm: inside the arrival span, past the warmup. *)
   let span = requests * Loadgen.default_config.Loadgen.arrival_interval in
   let start = 150_000 + (span / 4) and horizon = 150_000 + (3 * span / 4) in

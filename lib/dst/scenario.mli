@@ -145,7 +145,8 @@ val storm_sized :
 (** {!storm} at a chosen scale (name default ["storm-<requests>"]) —
     the CLI runs 500-request storms through this.  Not a builtin:
     replays of repro files produced from it must pass the scenario
-    explicitly. *)
+    explicitly.  Raises [Invalid_argument] naming the parameter when
+    [requests], [concurrency] or [workers] is below 1. *)
 
 val storm_lines : report -> string list
 (** Human-readable storm summary (latency quantiles, error counts,

@@ -88,7 +88,6 @@ type t = {
   engine : Engine.t;
   rng : Rng.t;
   peer : Peer.t;
-  metrics : Metrics.t;
   cfg : config;
   dst_ip : int;
   dst_mac : int;
@@ -108,7 +107,6 @@ let create ~engine ~seed ~peer ~metrics ?(config = default_config) ~dst_ip ~dst_
     engine;
     rng = Rng.create ~seed:(Rng.derive ~seed ~index:0x10ad);
     peer;
-    metrics;
     cfg = config;
     dst_ip;
     dst_mac;
@@ -338,8 +336,3 @@ let start t =
     ignore (Engine.schedule_at t.engine ~at:!tcur (fun () -> start_request t req))
   done;
   t.launched_all <- true
-
-let latency_quantile t q =
-  match List.assoc_opt "load.latency_us" (Metrics.snapshot t.metrics).Metrics.histograms with
-  | Some h -> Metrics.quantile h q
-  | None -> 0

@@ -82,7 +82,3 @@ val goodput_bins : t -> int array
     mid-storm outage dip. *)
 
 val bin_us : t -> int
-
-val latency_quantile : t -> float -> int
-(** [latency_quantile t q] — {!Resilix_obs.Metrics.quantile} over the
-    completed-request latency histogram, us. *)

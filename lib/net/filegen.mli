@@ -10,8 +10,8 @@ val read : seed:int -> off:int -> len:int -> bytes
 (** The [len] bytes of the file at offset [off]. *)
 
 val fnv_digest : seed:int -> size:int -> string
-(** Streaming FNV-1a hex digest of the whole file (fast; used by the
-    benchmark harness). *)
+(** Streaming FNV-1a hex digest of the whole file (fast; the
+    experiments and the load generator verify transfers against it). *)
 
 val md5_digest : seed:int -> size:int -> string
 (** Streaming MD5 hex digest of the whole file (used by the wget

@@ -528,6 +528,17 @@ let test_guided_covers_at_least_blind () =
     (List.length guided.Explore.g_signatures >= List.length blind.Explore.g_signatures);
   Alcotest.(check int) "fresh_only never mutates" 0 blind.Explore.g_mutants
 
+(* The same comparison on the real machine: a 64-KB wget under
+   driver kills, judged by a 1-ms span bound. *)
+let test_guided_covers_blind_on_wget () =
+  let sc = Scenario.wget_sized ~size:(64 * 1024) () in
+  let explore fresh_only =
+    Explore.run_guided ~fresh_only ~bound:1_000 ~batch:16 sc ~seed:42 ~runs:32 ()
+  in
+  let guided = explore false and blind = explore true in
+  Alcotest.(check bool) "guided discovers at least as many wget signatures" true
+    (List.length guided.Explore.g_signatures >= List.length blind.Explore.g_signatures)
+
 (* fresh_only guided runs execute exactly blind mode's specs, so each
    deduplicated finding must be one of Explore.run's findings,
    verbatim. *)
@@ -605,4 +616,6 @@ let tests =
     Alcotest.test_case "guided: fresh-only matches blind" `Quick
       test_guided_fresh_only_matches_blind;
     Alcotest.test_case "guided: findings replay" `Quick test_guided_findings_replay;
+    Alcotest.test_case "guided: covers at least blind on wget" `Quick
+      test_guided_covers_blind_on_wget;
   ]

@@ -213,15 +213,28 @@ let collect_obs run =
   let rows = run (fun line -> Buffer.add_string buf line; Buffer.add_char buf '\n') in
   (rows, Buffer.contents buf)
 
+(* The JSONL lines reporting MTTR, for [component] if given. *)
+let mttr_lines ?component obs =
+  List.filter
+    (fun line ->
+      let fields = String.split_on_char ',' line in
+      List.mem "{\"type\":\"mttr\"" fields
+      &&
+      match component with
+      | None -> true
+      | Some c -> List.mem (Printf.sprintf "\"component\":\"%s\"" c) fields)
+    (String.split_on_char '\n' obs)
+
 let test_fig7_jobs_invariant () =
   (* The acceptance criterion for the progress observer: enabling it
      must leave the stdout/JSONL path byte-identical for every job
-     count — the observer only ever sees the stderr-side sink. *)
+     count — the observer only ever sees the stderr-side sink.  7 MB
+     is the smallest transfer that outlasts the first 1-s kill. *)
   let sweep jobs =
     collect_obs (fun sink ->
         E.Fig7.run ~jobs
           ~on_progress:(fun (_ : Campaign.progress) -> ())
-          ~size:(2 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
+          ~size:(7 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
   in
   let rows1, obs1 = sweep 1 and rows2, obs2 = sweep 2 and rows4, obs4 = sweep 4 in
   Alcotest.(check int) "baseline + one interval" 2 (List.length rows1);
@@ -229,7 +242,22 @@ let test_fig7_jobs_invariant () =
   Alcotest.(check bool) "fig7 rows identical for jobs=1 and jobs=4" true (rows1 = rows4);
   Alcotest.(check string) "fig7 observability byte-identical (jobs=2)" obs1 obs2;
   Alcotest.(check string) "fig7 observability byte-identical (jobs=4)" obs1 obs4;
-  Alcotest.(check bool) "sweep passes its own integrity check" true (E.Fig7.ok rows1)
+  Alcotest.(check bool) "sweep passes its own integrity check" true (E.Fig7.ok rows1);
+  Alcotest.(check bool) "a kill landed and its MTTR was reported" true (mttr_lines obs1 <> [])
+
+let test_fig8_jobs_invariant () =
+  (* 14 MB is the smallest read that outlasts the first 1-s kill. *)
+  let sweep jobs =
+    collect_obs (fun sink ->
+        E.Fig8.run ~jobs ~size:(14 * mb) ~intervals:[ 1 ] ~seed:42 ~obs:sink ())
+  in
+  let rows1, obs1 = sweep 1 and rows2, obs2 = sweep 2 in
+  Alcotest.(check int) "baseline + one interval" 2 (List.length rows1);
+  Alcotest.(check bool) "fig8 rows identical for jobs=1 and jobs=2" true (rows1 = rows2);
+  Alcotest.(check string) "fig8 observability byte-identical (jobs=2)" obs1 obs2;
+  Alcotest.(check bool) "sweep passes its own integrity check" true (E.Fig8.ok rows1);
+  Alcotest.(check bool) "the disk-driver kill reported its MTTR" true
+    (mttr_lines ~component:"blk.sata" obs1 <> [])
 
 let test_sec72_jobs_invariant () =
   let campaign jobs =
@@ -251,4 +279,5 @@ let tests =
     Alcotest.test_case "campaign progress observer" `Quick test_campaign_progress_events;
     Alcotest.test_case "fig7 sweep is jobs-invariant" `Quick test_fig7_jobs_invariant;
     Alcotest.test_case "sec7_2 campaign is jobs-invariant" `Quick test_sec72_jobs_invariant;
+    Alcotest.test_case "fig8 sweep is jobs-invariant" `Quick test_fig8_jobs_invariant;
   ]

@@ -112,10 +112,7 @@ let test_trace_typed_query () =
         | Event.Exit { status = Status.Killed Signal.Sig_segv; _ } -> true
         | _ -> false)
   in
-  Alcotest.(check int) "typed query finds the exit" 1 (List.length hits);
-  (* The compat renderer still supports substring search. *)
-  Alcotest.(check bool) "legacy find still works" true
-    (Trace.find trace ~subsystem:"kernel" ~contains:"killed(SIGSEGV)" <> None)
+  Alcotest.(check int) "typed query finds the exit" 1 (List.length hits)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)

@@ -347,16 +347,22 @@ let test_policy_pinned_storm () =
   Alcotest.(check int) "fifo storm fires every event" 400 fired_f;
   Alcotest.(check int) "storm schedule checksum (fifo)" (-4518856617332645823) sum_f
 
+(* Retained events from [subsystem] whose rendered message satisfies
+   [msg]. *)
+let trace_hits trace subsystem msg =
+  Trace.query trace ~pred:(fun e -> e.Trace.subsystem = subsystem && msg (Trace.message e))
+
 let test_trace_query () =
   let trace = Trace.create () in
   Trace.emit trace ~now:(Time.usec 5) Trace.Info "rs" "restarting %s (attempt %d)" "eth" 2;
   Trace.emit trace ~now:(Time.usec 9) Trace.Warn "inet" "driver %s down" "eth";
-  Alcotest.(check int) "count matches" 1 (Trace.count trace ~subsystem:"rs" ~contains:"restarting");
-  (match Trace.find trace ~subsystem:"rs" ~contains:"attempt 2" with
-  | Some e -> Alcotest.(check int) "event time preserved" 5 e.Trace.time
-  | None -> Alcotest.fail "expected to find the rs event");
+  Alcotest.(check int) "count matches" 1
+    (List.length (trace_hits trace "rs" (String.starts_with ~prefix:"restarting")));
+  (match trace_hits trace "rs" (String.equal "restarting eth (attempt 2)") with
+  | [ e ] -> Alcotest.(check int) "event time preserved" 5 e.Trace.time
+  | _ -> Alcotest.fail "expected to find the rs event");
   Alcotest.(check int) "no cross-subsystem match" 0
-    (Trace.count trace ~subsystem:"rs" ~contains:"driver eth down")
+    (List.length (trace_hits trace "rs" (String.equal "driver eth down")))
 
 let test_trace_capacity () =
   let trace = Trace.create ~capacity:3 () in
@@ -381,12 +387,12 @@ let test_trace_wraparound_reads () =
     [ "event 6"; "event 7"; "event 8" ]
     (List.map Trace.message (Trace.query trace ~pred:(fun _ -> true)));
   Alcotest.(check int) "count scans the whole window" 3
-    (Trace.count trace ~subsystem:"x" ~contains:"event");
+    (List.length (trace_hits trace "x" (String.starts_with ~prefix:"event")));
   Alcotest.(check bool) "find misses overwritten events" true
-    (Trace.find trace ~subsystem:"x" ~contains:"event 5" = None);
-  (match Trace.find trace ~subsystem:"x" ~contains:"event 6" with
-  | Some e -> Alcotest.(check int) "find sees the oldest retained event" 6 e.Trace.time
-  | None -> Alcotest.fail "expected to find event 6")
+    (trace_hits trace "x" (String.equal "event 5") = []);
+  (match trace_hits trace "x" (String.equal "event 6") with
+  | [ e ] -> Alcotest.(check int) "find sees the oldest retained event" 6 e.Trace.time
+  | _ -> Alcotest.fail "expected to find event 6")
 
 (* The growth-then-wrap boundary: the buffer doubles while filling,
    then wraps only once the configured capacity is reached. *)

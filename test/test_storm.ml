@@ -52,13 +52,16 @@ let test_storm_smoke () =
 (* Byte-identical reports: the same seed yields the same storm, down
    to the rendered report lines and the engine's decision trace. *)
 let test_storm_deterministic () =
-  let r1 = run_builtin ~seed:11 and r2 = run_builtin ~seed:11 in
-  Alcotest.(check (list string))
-    "report lines identical" (Scenario.storm_lines r1) (Scenario.storm_lines r2);
-  Alcotest.(check bool) "decision traces identical" true
-    (r1.Scenario.r_decisions = r2.Scenario.r_decisions);
-  Alcotest.(check bool) "shapes identical" true
-    (Int64.equal r1.Scenario.r_shape r2.Scenario.r_shape)
+  List.iter
+    (fun seed ->
+      let r1 = run_builtin ~seed and r2 = run_builtin ~seed in
+      Alcotest.(check (list string))
+        "report lines identical" (Scenario.storm_lines r1) (Scenario.storm_lines r2);
+      Alcotest.(check bool) "decision traces identical" true
+        (r1.Scenario.r_decisions = r2.Scenario.r_decisions);
+      Alcotest.(check bool) "shapes identical" true
+        (Int64.equal r1.Scenario.r_shape r2.Scenario.r_shape))
+    [ 11; 42 ]
 
 (* The storm is registered with the explorer, and exploring it is
    jobs-invariant: the same seeded batch on one domain and on two
@@ -176,6 +179,19 @@ let test_no_fault_storm_report () =
   Alcotest.(check bool) "outage line says none" true
     (List.mem "outage: none (no kill in plan)" lines)
 
+(* A storm needs at least one request, connection and worker: below
+   that the fault plan has no window to land in, or the run cannot
+   make progress and only reports bogus violations. *)
+let test_storm_rejects_empty_scale () =
+  let rejects what ~requests ~concurrency ~workers =
+    Alcotest.check_raises (what ^ " = 0")
+      (Invalid_argument (Printf.sprintf "Scenario.storm_sized: %s must be >= 1 (got 0)" what))
+      (fun () -> ignore (Scenario.storm_sized ~requests ~concurrency ~workers ~backlog:4 ()))
+  in
+  rejects "requests" ~requests:0 ~concurrency:4 ~workers:2;
+  rejects "concurrency" ~requests:8 ~concurrency:0 ~workers:2;
+  rejects "workers" ~requests:8 ~concurrency:4 ~workers:0
+
 let tests =
   [
     Alcotest.test_case "storm smoke: kill mid-storm, invariants hold" `Quick test_storm_smoke;
@@ -187,4 +203,5 @@ let tests =
       test_many_connections_clean;
     Alcotest.test_case "retransmit through the outage" `Quick test_retransmit_through_outage;
     Alcotest.test_case "no-fault storm reports no outage" `Quick test_no_fault_storm_report;
+    Alcotest.test_case "storm rejects an empty scale" `Quick test_storm_rejects_empty_scale;
   ]
