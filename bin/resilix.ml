@@ -314,14 +314,25 @@ open Cmdliner
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Master RNG seed (runs are deterministic).")
 
+(* A job count below one would make Campaign.run raise mid-command;
+   refuse it before any work starts, like storm's scale check: one
+   line on stderr, exit 2. *)
 let jobs_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the trial campaign (default: all cores). Output is identical \
-           for any value.")
+  let at_least_one = function
+    | Some j when j < 1 ->
+        Printf.eprintf "resilix: --jobs must be >= 1 (got %d)\n" j;
+        exit 2
+    | jobs -> jobs
+  in
+  Term.(
+    const at_least_one
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Worker domains for the trial campaign (default: all cores; at least 1). Output \
+               is identical for any value."))
 
 let progress_t =
   Arg.(
@@ -521,10 +532,13 @@ let replay_cmd =
   cmd "replay" "Re-execute a JSONL repro file and check it reproduces"
     Term.(const run_replay $ repro_file_t $ shrink_t $ out_t)
 
+(* Each figure runs at its own default size: one [--size-mb] cannot
+   serve both, and cmdliner rejects an option defined twice. *)
 let all_cmd =
   cmd "all" "Run every experiment with default parameters"
     Term.(
-      const (fun jobs progress seed size7 size8 intervals faults metrics_out ->
+      const (fun jobs progress seed intervals faults metrics_out ->
+          let size7 = 128 and size8 = 512 in
           let rc = ref (run_fig3 jobs progress seed) in
           let track n = rc := max !rc n in
           track
@@ -549,8 +563,7 @@ let all_cmd =
           track (run_fig9 jobs progress ());
           track (run_ablations jobs progress seed);
           !rc)
-      $ jobs_t $ progress_t $ seed_t $ size_t 128 $ size_t 512 $ intervals_t $ faults_t
-      $ metrics_out_t)
+      $ jobs_t $ progress_t $ seed_t $ intervals_t $ faults_t $ metrics_out_t)
 
 let () =
   let info =

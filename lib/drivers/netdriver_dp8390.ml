@@ -191,9 +191,12 @@ let program () =
       match exec "rx" ~r1:0 ~r2:rx_buf ~r3:0 with
       | Ok 0 | Error _ -> continue := false
       | Ok len ->
-          let len = min len max_frame in
-          let frame = Memory.read mem ~addr:rx_buf ~len in
-          if Queue.length stash < stash_cap then Queue.push frame stash;
+          (* A full stash drops the frame, so copy it out only when it is
+             kept.  [len] is a positive 32-bit register value capped at
+             [max_frame], and [rx_buf + max_frame] lies inside the
+             image, so a skipped read could not have faulted. *)
+          if Queue.length stash < stash_cap then
+            Queue.push (Memory.read mem ~addr:rx_buf ~len:(min len max_frame)) stash;
           deliver_rx ()
     done
   in

@@ -228,6 +228,17 @@ let resume_after t proc k ~cost v =
   in
   proc.state <- Resuming { r_event = event; r_k = k }
 
+(* [resume_after], or its effect in place when the resume event would
+   be the next thing to fire in the whole machine: no kill is pending
+   and [Engine.try_advance] moves the clock over the event's cost, so
+   the fiber continues now, exactly as the lone event would have
+   resumed it.  The [continue] is a tail call, so a long chain of such
+   syscalls runs in constant stack. *)
+let resume_soon t proc k ~cost v =
+  match proc.kill_pending with
+  | None when Engine.try_advance t.engine ~after:cost -> Effect.Deep.continue k v
+  | None | Some _ -> resume_after t proc k ~cost v
+
 (* The [devio] kernel-call gate, in the order the general path checks
    kernel calls: the call itself, then the port range. *)
 let devio_allowed proc port =
@@ -514,30 +525,36 @@ let rec start_fiber t proc ~delay body =
 
 (* The kernel half of every syscall.  [k] resumes the calling fiber.
    [Yield] and [Devio_*] are nearly every syscall a driver-VM program
-   makes, so they (and [Sleep], which has the same shape) are answered
-   here, before [handle_general] builds its per-call closures; each
-   still costs exactly one scheduled event, so event seqs (and Seeded
-   tie-breaks) are unchanged. *)
+   makes, and [Interp.run] asks for [My_memory] on every call, so
+   these (with [Now], [Self], and [Sleep], which has the same shape)
+   are answered here, before [handle_general] builds its per-call
+   closures.  [Yield] and [Devio_*] resume in place when nothing else
+   is due first ([resume_soon]); [Sleep] always takes its event, since
+   [System.run_until] predicates observe sleeping apps between
+   steps. *)
 and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
  fun t proc op k ->
   match op with
-  | Sysif.Yield cost -> resume_after t proc k ~cost ()
+  | Sysif.Yield cost -> resume_soon t proc k ~cost ()
   | Sysif.Sleep d -> resume_after t proc k ~cost:(max 0 d) ()
   | Sysif.Devio_in port ->
       if not (devio_allowed proc port) then
-        resume_after t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
+        resume_soon t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
-        resume_after t proc k ~cost:t.costs.devio (t.io_handler (`In port))
+        resume_soon t proc k ~cost:t.costs.devio (t.io_handler (`In port))
       end
   | Sysif.Devio_out (port, value) ->
       if not (devio_allowed proc port) then
-        resume_after t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
+        resume_soon t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
         let r = match t.io_handler (`Out (port, value)) with Ok _ -> Ok () | Error e -> Error e in
-        resume_after t proc k ~cost:t.costs.devio r
+        resume_soon t proc k ~cost:t.costs.devio r
       end
+  | Sysif.My_memory -> Effect.Deep.continue k proc.memory
+  | Sysif.Now -> Effect.Deep.continue k (Engine.now t.engine)
+  | Sysif.Self -> Effect.Deep.continue k (ep_of_proc proc)
   | _ -> handle_general t proc op k
 
 and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
@@ -558,9 +575,6 @@ and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
     | Some name -> not (Privilege.allows proc.priv.Privilege.kcalls name)
   in
   match op with
-  | Sysif.Now -> ret_now (Engine.now t.engine)
-  | Sysif.Self -> ret_now self_ep
-  | Sysif.My_memory -> ret_now proc.memory
   | Sysif.My_args -> ret_now proc.p_args
   | Sysif.My_name -> ret_now proc.p_name
   | Sysif.Random n -> ret_now (Rng.int t.rng n)
@@ -784,7 +798,8 @@ and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
             target_proc.priv <- priv;
             ret (Ok ())
       end
-  | Sysif.Yield _ | Sysif.Sleep _ | Sysif.Devio_in _ | Sysif.Devio_out _ ->
+  | Sysif.Yield _ | Sysif.Sleep _ | Sysif.Devio_in _ | Sysif.Devio_out _ | Sysif.My_memory
+  | Sysif.Now | Sysif.Self ->
       (* Answered by [handle_syscall]; never routed here. *)
       assert false
 

@@ -85,6 +85,10 @@ type t = {
   mutable cand_fires : (unit -> unit) array;
   mutable cand_handles : handle array;
   mutable n_cand : int; (* live candidates collected so far this step *)
+  (* The last instant the running [run] loop would fire an event at:
+     [max_int] outside any loop (no bound), [min_int] when the loop
+     counts events.  Bounds [try_advance]. *)
+  mutable horizon : Time.t;
 }
 
 let create ?(policy = Fifo) () =
@@ -102,6 +106,7 @@ let create ?(policy = Fifo) () =
     cand_fires = [||];
     cand_handles = [||];
     n_cand = 0;
+    horizon = max_int;
   }
 
 let now t = t.clock
@@ -166,6 +171,39 @@ let next_key t =
     if (not (Heap.is_empty t.overflow)) && Heap.min_key t.overflow < rt then
       Heap.min_key t.overflow
     else rt
+  end
+
+(* Does the wheel hold an entry, live or cancelled, at an instant in
+   [clock, target]?  Only call with [target - clock < wheel_size], so
+   no two scanned instants share a bucket. *)
+let ring_busy_until t target =
+  let i = ref t.clock in
+  while
+    !i <= target
+    &&
+    let b = Array.unsafe_get t.wheel (!i land wheel_mask) in
+    b.b_head >= b.b_len
+  do
+    incr i
+  done;
+  !i <= target
+
+(* Conservative lookahead.  An event scheduled now at [clock + after]
+   would be the only entry at or before its instant, so the next step
+   would fire it alone (forced, no decision) with nothing in between:
+   stand in for that step by moving the clock and taking the seq the
+   event would have taken, so every later event keeps its seq. *)
+let try_advance t ~after =
+  let target = t.clock + after in
+  if
+    after < 0 || after >= wheel_size || target > t.horizon
+    || ((not (Heap.is_empty t.overflow)) && Heap.min_key t.overflow <= target)
+    || (t.ring_count > 0 && ring_busy_until t target)
+  then false
+  else begin
+    t.clock <- target;
+    t.seq <- t.seq + 1;
+    true
   end
 
 let grow_cand t =
@@ -324,6 +362,11 @@ let step_fifo t =
 
 let step t = match t.policy with Seeded _ | Scripted _ -> step_choice t | Fifo -> step_fifo t
 
+let with_horizon t horizon f =
+  let saved = t.horizon in
+  t.horizon <- horizon;
+  Fun.protect ~finally:(fun () -> t.horizon <- saved) f
+
 let run ?until ?max_events t =
   let fired = ref 0 in
   (* [next_key] reads the head's instant in place (no allocation); the
@@ -336,10 +379,19 @@ let run ?until ?max_events t =
     | Some stop -> Time.compare (next_key t) stop <= 0
     | None -> true
   in
-  while continue () do
-    ignore (step t);
-    incr fired
-  done;
+  (* An event budget counts steps, so a loop under one never skips a
+     step; otherwise nothing may be skipped past [until]. *)
+  let horizon =
+    match (max_events, until) with
+    | Some _, _ -> min_int
+    | None, Some stop -> stop
+    | None, None -> max_int
+  in
+  with_horizon t horizon (fun () ->
+      while continue () do
+        ignore (step t);
+        incr fired
+      done);
   let stopped_by_budget = match max_events with Some m -> !fired >= m | None -> false in
   match until with
   | Some stop when (not stopped_by_budget) && Time.compare t.clock stop < 0 -> t.clock <- stop

@@ -70,7 +70,27 @@ val step : t -> bool
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** [run t] executes events until the queue is empty, [until] is
     reached (clock stops exactly at [until]), or [max_events] have
-    fired.  Defaults: no time bound, no event bound. *)
+    fired.  Defaults: no time bound, no event bound.  While it runs,
+    the {!try_advance} horizon is [until]; under [max_events] every
+    advance is refused, so the budget counts every step. *)
+
+val with_horizon : t -> Time.t -> (unit -> 'a) -> 'a
+(** [with_horizon t h f] runs [f] (a stepping loop that stops once the
+    clock reaches [h]) with the {!try_advance} horizon set to [h], and
+    restores the previous horizon when [f] returns or raises.  Outside
+    any loop the horizon is unbounded. *)
+
+val try_advance : t -> after:Time.t -> bool
+(** Conservative lookahead for the kernel's resume path.  Succeeds
+    only when an event scheduled now [after] from the clock would be
+    the next thing to fire, alone at its instant: no entry, live or
+    cancelled, lies at or before [now t + after], [after] is below the
+    timing wheel's span, and [now t + after] is within the running
+    loop's horizon.  On success the clock moves to [now t + after] and
+    the scheduling seq the event would have taken is consumed, so
+    later events keep their seqs (Seeded ranks, Scripted replays and
+    decision traces are unchanged); the caller then does the event's
+    work in place.  On failure nothing changes. *)
 
 val pending : t -> int
 (** Number of events waiting (under [Fifo], including cancelled ones

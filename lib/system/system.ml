@@ -374,7 +374,7 @@ let run_until t ?(timeout = 60_000_000) pred =
     else if Engine.step t.engine then step ()
     else pred ()
   in
-  step ()
+  Engine.with_horizon t.engine deadline step
 
 let start_services t specs =
   let done_flag = ref false in

@@ -112,7 +112,10 @@ val run : ?until:int -> ?max_events:int -> t -> unit
 
 val run_until : t -> ?timeout:int -> (unit -> bool) -> bool
 (** Step the engine until the predicate holds; [false] on timeout
-    (default 60 simulated seconds) or event exhaustion. *)
+    (default 60 simulated seconds) or event exhaustion.  The predicate
+    is checked between engine events; a driver syscall the kernel
+    resumes in place ({!Resilix_sim.Engine.try_advance}, bounded by
+    the timeout's deadline) is not an event. *)
 
 (** {1 Failure tooling} *)
 

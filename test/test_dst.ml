@@ -581,6 +581,29 @@ let test_trim_trailing_zeros () =
     (Array.to_list (Replay.trim_trailing_zeros [| 0; 0 |]));
   Alcotest.(check (list int)) "empty" [] (Array.to_list (Replay.trim_trailing_zeros [||]))
 
+(* The dp-inject runs of the benchmark's inject-explore workload at
+   seed 7 (plans and machines from [derive 42 i], i < 16, tie-breaks
+   [Seeded (derive (derive 42 i) 7)]) spend most of their events in
+   hung drivers spinning on device I/O, the path the kernel resumes in
+   place.  One digest over every run's decision trace, end time and
+   recovery count, captured before that path existed, pins them. *)
+let test_dp_inject_pinned_digest () =
+  let sc = Scenario.dp_inject in
+  let h = ref Fnv.start in
+  let add n = h := Fnv.update_string !h (string_of_int n ^ ",") in
+  for i = 0 to 15 do
+    let seed = Rng.derive ~seed:42 ~index:i in
+    let plan = sc.Scenario.plan ~seed ~faults:sc.Scenario.default_faults in
+    let r =
+      sc.Scenario.run ~seed ~policy:(Engine.Seeded (Rng.derive ~seed ~index:7)) ~plan
+    in
+    Array.iter add r.Scenario.r_decisions;
+    add (Array.length r.Scenario.r_decisions);
+    add r.Scenario.r_end_time;
+    add r.Scenario.r_recoveries
+  done;
+  Alcotest.(check string) "dp-inject digest" "c031ef11461ef920" (Fnv.to_hex !h)
+
 let tests =
   [
     Alcotest.test_case "fault plan is pure and sorted" `Quick test_plan_pure_and_sorted;
@@ -618,4 +641,5 @@ let tests =
     Alcotest.test_case "guided: findings replay" `Quick test_guided_findings_replay;
     Alcotest.test_case "guided: covers at least blind on wget" `Quick
       test_guided_covers_blind_on_wget;
+    Alcotest.test_case "dp-inject runs pinned" `Quick test_dp_inject_pinned_digest;
   ]

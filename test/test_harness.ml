@@ -270,6 +270,33 @@ let test_sec72_jobs_invariant () =
   Alcotest.(check int) "every shard injected its share" 200 o1.E.Sec72.injected;
   Alcotest.(check bool) "crash-class split accounts for every crash" true (E.Sec72.ok o1)
 
+(* [--jobs 0] on every campaign subcommand of the resilix CLI is a
+   one-line usage error with exit 2, raised before any work starts
+   (the campaign runner would otherwise die with an uncaught
+   Invalid_argument). *)
+let test_cli_rejects_zero_jobs () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat (Filename.concat ".." "bin") "resilix.exe")
+  in
+  let slurp file = In_channel.with_open_bin file In_channel.input_all in
+  List.iter
+    (fun sub ->
+      let out = Filename.temp_file "resilix" ".out" and err = Filename.temp_file "resilix" ".err" in
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s --jobs 0 >%s 2>%s" (Filename.quote exe) sub (Filename.quote out)
+             (Filename.quote err))
+      in
+      let stdout = slurp out and stderr = slurp err in
+      Sys.remove out;
+      Sys.remove err;
+      Alcotest.(check int) (sub ^ ": exit 2") 2 rc;
+      Alcotest.(check string) (sub ^ ": nothing on stdout") "" stdout;
+      Alcotest.(check string) (sub ^ ": one-line error") "resilix: --jobs must be >= 1 (got 0)\n"
+        stderr)
+    [ "fig3"; "fig7"; "fig8"; "sec72"; "fig9"; "ablations"; "explore dp-inject"; "all" ]
+
 let tests =
   [
     Alcotest.test_case "same seed, same run" `Quick test_same_seed_same_run;
@@ -280,4 +307,5 @@ let tests =
     Alcotest.test_case "fig7 sweep is jobs-invariant" `Quick test_fig7_jobs_invariant;
     Alcotest.test_case "sec7_2 campaign is jobs-invariant" `Quick test_sec72_jobs_invariant;
     Alcotest.test_case "fig8 sweep is jobs-invariant" `Quick test_fig8_jobs_invariant;
+    Alcotest.test_case "CLI rejects --jobs 0" `Quick test_cli_rejects_zero_jobs;
   ]

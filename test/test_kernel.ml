@@ -441,6 +441,139 @@ let test_devio_cost_contract () =
   Alcotest.(check int) "no devio kcall costs a syscall" (2 * n * costs.syscall)
     (run_driver no_kcall (denied 0x300))
 
+(* A driver spinning on device I/O and yields with nothing else due
+   resumes in place: the whole spin costs O(1) engine steps however
+   long it is, and the same virtual time as one event per syscall. *)
+let test_spin_resumes_in_place () =
+  let costs = Kernel.default_costs in
+  let spin n =
+    let engine, kernel = make_kernel () in
+    Kernel.set_io_handler kernel (fun _ -> Ok 0);
+    let elapsed = ref (-1) in
+    ignore
+      (spawn kernel "drv" (fun () ->
+           let t0 = Api.now () in
+           for _ = 1 to n do
+             ignore (Api.devio_in 0x300);
+             Api.yield ~cost:3 ()
+           done;
+           elapsed := Api.now () - t0));
+    let steps = ref 0 in
+    while Engine.step engine do
+      incr steps
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "%d spins take n x (devio + yield)" n)
+      (n * (costs.devio + 3))
+      !elapsed;
+    !steps
+  in
+  let short = spin 10 and long = spin 100_000 in
+  Alcotest.(check bool) (Printf.sprintf "O(1) steps (%d)" long) true (long <= 2);
+  Alcotest.(check int) "steps independent of the spin length" short long
+
+(* A timer due at the very instant a spinning driver's devio would
+   resume competes with it: the resume must become a real event, so
+   the Seeded engine records the choice, and the timer observes the
+   driver at the progress the choice implies. *)
+let test_same_instant_competitor () =
+  let costs = Kernel.default_costs in
+  List.iter
+    (fun seed ->
+      let engine = Engine.create ~policy:(Engine.Seeded seed) () in
+      let kernel =
+        Kernel.create ~engine ~trace:(Trace.create ()) ~rng:(Rng.create ~seed:1) ()
+      in
+      Kernel.set_io_handler kernel (fun _ -> Ok 0);
+      let count = ref 0 and seen = ref (-1) and elapsed = ref (-1) in
+      ignore
+        (spawn kernel "drv" (fun () ->
+             let t0 = Api.now () in
+             ignore
+               (Engine.schedule_at engine ~at:(t0 + (10 * costs.devio)) (fun () ->
+                    seen := !count));
+             for _ = 1 to 100 do
+               ignore (Api.devio_in 0x300);
+               incr count
+             done;
+             elapsed := Api.now () - t0));
+      Engine.run engine;
+      let decisions = Engine.decisions engine in
+      Alcotest.(check int) "one choice point" 1 (Array.length decisions);
+      Alcotest.(check int) "timer sees the chosen order" (9 + decisions.(0)) !seen;
+      Alcotest.(check int) "spin time unchanged" (100 * costs.devio) !elapsed)
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* A kill that lands while the driver is on the CPU (here, from the
+   device model inside its devio) is a pending kill, so that devio
+   must take its event and unwind there rather than resume in place
+   (clock figure pinned from one engine event per syscall). *)
+let test_kill_during_devio () =
+  let engine, kernel = make_kernel () in
+  let accesses = ref 0 and count = ref 0 and drv = ref None in
+  Kernel.set_io_handler kernel (fun _ ->
+      incr accesses;
+      (if !accesses = 5 then
+         match !drv with
+         | Some ep -> ignore (Kernel.kill kernel ep (Status.Killed Signal.Sig_kill))
+         | None -> ());
+      Ok 0);
+  let ep =
+    spawn kernel "drv" (fun () ->
+        for _ = 1 to 100 do
+          ignore (Api.devio_in 0x300);
+          incr count
+        done)
+  in
+  drv := Some ep;
+  Engine.run engine;
+  Alcotest.(check int) "killed at its fifth access" 4 !count;
+  Alcotest.(check bool) "driver is dead" false (Kernel.alive kernel ep);
+  Alcotest.(check int) "clock where it died" 3110 (Engine.now engine)
+
+(* [run ~until] stops exactly at its bound even while a driver spins
+   in place: the lookahead never carries the clock past it, and the
+   driver has made exactly the progress it made with one event per
+   syscall (figures pinned from that implementation). *)
+let test_run_until_spin_pinned () =
+  let engine, kernel = make_kernel () in
+  Kernel.set_io_handler kernel (fun _ -> Ok 0);
+  let count = ref 0 in
+  ignore
+    (spawn kernel "drv" (fun () ->
+         while true do
+           ignore (Api.devio_in 0x300);
+           Api.yield ~cost:3 ();
+           incr count
+         done));
+  let rec tick () = ignore (Engine.schedule engine ~after:1000 tick) in
+  tick ();
+  Engine.run engine ~until:12_345;
+  Alcotest.(check int) "clock at the first bound" 12_345 (Engine.now engine);
+  Alcotest.(check int) "progress at the first bound" 1849 !count;
+  Engine.run engine ~until:20_001;
+  Alcotest.(check int) "clock at the second bound" 20_001 (Engine.now engine);
+  Alcotest.(check int) "progress at the second bound" 3380 !count
+
+(* Resuming in place continues the fiber from the kernel's effect
+   handler as a tail call: two million back-to-back yields complete
+   in constant stack.  The run caps stacks at 8 MB (the default cap is
+   1 GB), which a frame kept per yield would overflow. *)
+let test_long_yield_chain () =
+  let engine, kernel = make_kernel () in
+  let n = 2_000_000 in
+  let count = ref 0 in
+  ignore
+    (spawn kernel "spinner" (fun () ->
+         for _ = 1 to n do
+           Api.yield ~cost:1 ();
+           incr count
+         done));
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.stack_limit = 1_000_000 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) (fun () -> Engine.run engine);
+  Alcotest.(check int) "every yield returned" n !count
+
 let test_mmu_fault_kills () =
   let engine, kernel = make_kernel () in
   let _victim =
@@ -718,4 +851,9 @@ let tests =
     Alcotest.test_case "exit recorded" `Quick test_exit_queue_for_pm;
     Alcotest.test_case "devio cost contract" `Quick test_devio_cost_contract;
     QCheck_alcotest.to_alcotest prop_many_processes_all_messages_delivered;
+    Alcotest.test_case "idle spin resumes in place" `Quick test_spin_resumes_in_place;
+    Alcotest.test_case "same-instant competitor is a choice" `Quick test_same_instant_competitor;
+    Alcotest.test_case "kill during devio unwinds there" `Quick test_kill_during_devio;
+    Alcotest.test_case "run ~until bounds a spin (pinned)" `Quick test_run_until_spin_pinned;
+    Alcotest.test_case "2M-yield chain" `Quick test_long_yield_chain;
   ]

@@ -582,6 +582,118 @@ let test_heap_pop_releases_values () =
   | Some (7, 1, [| 7 |]) -> ()
   | _ -> Alcotest.fail "heap unusable after clear"
 
+(* [try_advance] stands in for a lone next event, so it must refuse
+   whenever anything could fire at or before its target: a live or a
+   cancelled entry in the wheel or the overflow heap, a target past the
+   running loop's horizon, or a delay the wheel cannot hold. *)
+let test_try_advance_refusals () =
+  let engine = Engine.create () in
+  Alcotest.(check bool) "idle engine advances" true (Engine.try_advance engine ~after:10);
+  Alcotest.(check int) "clock moved by the delay" 10 (Engine.now engine);
+  Alcotest.(check bool) "zero delay on an idle engine" true (Engine.try_advance engine ~after:0);
+  Alcotest.(check bool) "negative delay refused" false (Engine.try_advance engine ~after:(-1));
+  Alcotest.(check bool) "delay past the 1024-instant wheel refused" false
+    (Engine.try_advance engine ~after:1024);
+  Alcotest.(check bool) "largest wheel delay" true (Engine.try_advance engine ~after:1023);
+  let base = Engine.now engine in
+  let fired = ref 0 in
+  ignore (Engine.schedule engine ~after:5 (fun () -> incr fired));
+  Alcotest.(check bool) "live entry at the target" false (Engine.try_advance engine ~after:5);
+  Alcotest.(check bool) "live entry before the target" false (Engine.try_advance engine ~after:6);
+  Alcotest.(check bool) "target before the live entry" true (Engine.try_advance engine ~after:4);
+  Alcotest.(check int) "clock short of the entry" (base + 4) (Engine.now engine);
+  Alcotest.(check bool) "live entry now at the clock" false (Engine.try_advance engine ~after:1);
+  Engine.run engine;
+  Alcotest.(check int) "the entry still fires" 1 !fired;
+  let h = Engine.schedule engine ~after:3 (fun () -> incr fired) in
+  Engine.cancel h;
+  Alcotest.(check bool) "cancelled entry before the target" false
+    (Engine.try_advance engine ~after:3);
+  Engine.run engine;
+  Alcotest.(check int) "cancelled entry never fires" 1 !fired;
+  Alcotest.(check bool) "reaped entry no longer blocks" true (Engine.try_advance engine ~after:3);
+  (* An overflow entry (2000 instants out, beyond the wheel) blocks
+     once the clock has come within a wheel span of it. *)
+  let at = Engine.now engine + 2000 in
+  ignore (Engine.schedule_at engine ~at (fun () -> incr fired));
+  Alcotest.(check bool) "overflow entry beyond the target" true
+    (Engine.try_advance engine ~after:1000);
+  Alcotest.(check bool) "overflow entry at the target" false
+    (Engine.try_advance engine ~after:1000);
+  Alcotest.(check bool) "target before the overflow entry" true
+    (Engine.try_advance engine ~after:999);
+  Engine.run engine;
+  Alcotest.(check int) "overflow entry fires on time" at (Engine.now engine);
+  Alcotest.(check int) "and exactly once" 2 !fired
+
+(* The horizon follows the running loop: [run ~until] bounds the
+   advance by [until], [run ~max_events] refuses every advance, and
+   [with_horizon] restores the outer horizon on return and on
+   exception. *)
+let test_try_advance_horizon () =
+  let engine = Engine.create () in
+  let attempts = ref [] in
+  let probe after () = attempts := Engine.try_advance engine ~after :: !attempts in
+  ignore (Engine.schedule engine ~after:10 (probe 91));
+  ignore (Engine.schedule engine ~after:20 (probe 80));
+  Engine.run engine ~until:100;
+  Alcotest.(check (list bool)) "past until refused, up to until allowed" [ false; true ]
+    (List.rev !attempts);
+  Alcotest.(check int) "clock stops at until" 100 (Engine.now engine);
+  attempts := [];
+  ignore (Engine.schedule engine ~after:1 (probe 1));
+  Engine.run engine ~max_events:5;
+  Alcotest.(check (list bool)) "an event budget refuses every advance" [ false ] !attempts;
+  Alcotest.(check bool) "no bound outside a loop" true (Engine.try_advance engine ~after:500);
+  (match
+     Engine.with_horizon engine (Engine.now engine) (fun () ->
+         Alcotest.(check bool) "bounded inside" false (Engine.try_advance engine ~after:1);
+         failwith "escape")
+   with
+  | () -> Alcotest.fail "with_horizon swallowed the exception"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "horizon restored after an exception" true
+    (Engine.try_advance engine ~after:500)
+
+(* Property: a chain of delays run by [try_advance] (falling back to a
+   real event when it refuses) is indistinguishable from the same
+   chain scheduled as real events, among random timers (some
+   cancelled, some in the overflow heap, many on shared instants),
+   under Seeded tie-breaks and a random [run ~until] split: the same
+   firing log, the same decision trace and the same clock. *)
+let prop_try_advance_matches_events =
+  QCheck.Test.make ~name:"try_advance chain = scheduled events" ~count:300
+    QCheck.(
+      quad (int_bound 1000)
+        (list_of_size (Gen.int_bound 24) (pair (int_bound 60) bool))
+        (list_of_size (Gen.int_bound 48) (int_bound 40))
+        (int_bound 1400))
+    (fun (seed, timers, chain, split) ->
+      let run lookahead =
+        let engine = Engine.create ~policy:(Engine.Seeded seed) () in
+        let log = ref [] in
+        let mark tag () = log := (tag, Engine.now engine) :: !log in
+        List.iteri
+          (fun i (slot, cancelled) ->
+            let h = Engine.schedule engine ~after:(slot * 23) (mark i) in
+            if cancelled then Engine.cancel h)
+          timers;
+        let delays = Array.of_list chain in
+        let rec link i () =
+          mark (-1 - i) ();
+          if i < Array.length delays then
+            let after = delays.(i) in
+            if lookahead && Engine.try_advance engine ~after then link (i + 1) ()
+            else ignore (Engine.schedule engine ~after (link (i + 1)))
+        in
+        ignore (Engine.schedule engine ~after:0 (link 0));
+        Engine.run engine ~until:split;
+        let at_split = (List.length !log, Engine.now engine) in
+        Engine.run engine;
+        (List.rev !log, at_split, Engine.decisions engine, Engine.now engine)
+      in
+      run true = run false)
+
 let prop_engine_no_time_travel =
   QCheck.Test.make ~name:"engine clock is monotone" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_bound 30) (int_bound 1000))
@@ -638,4 +750,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_heap_model;
     QCheck_alcotest.to_alcotest prop_engine_no_time_travel;
     Alcotest.test_case "rng fill range check" `Quick test_rng_fill_range_check;
+    Alcotest.test_case "try_advance refusals" `Quick test_try_advance_refusals;
+    Alcotest.test_case "try_advance horizon" `Quick test_try_advance_horizon;
+    QCheck_alcotest.to_alcotest prop_try_advance_matches_events;
   ]

@@ -255,6 +255,34 @@ let test_service_down_and_duplicate_up () =
   Alcotest.(check int) "no recovery event for a deliberate stop" 0
     (List.length (Reincarnation.events t.System.rs))
 
+(* [System.run_until] bounds the kernel's in-place resumes by its
+   deadline: with an app spinning on yields beside a running driver,
+   the clock where it stops, at its deadline or at a predicate an
+   engine event sets, and the app's progress there are those of one
+   engine event per yield (figures pinned from that implementation). *)
+let test_run_until_spin_pinned () =
+  let module Api = Resilix_kernel.Sysif.Api in
+  let t = System.boot () in
+  System.start_services t [ System.spec_rtl8139 () ];
+  let count = ref 0 in
+  ignore
+    (System.spawn_app t ~name:"spinner" (fun () ->
+         while true do
+           Api.yield ~cost:7 ();
+           incr count
+         done));
+  let engine = t.System.engine in
+  Alcotest.(check bool) "deadline reached" false
+    (System.run_until t ~timeout:50_000 (fun () -> false));
+  Alcotest.(check (pair int int)) "clock and progress at the deadline" (56117, 6700)
+    (Engine.now engine, !count);
+  let fired = ref false in
+  ignore (Engine.schedule engine ~after:123_457 (fun () -> fired := true));
+  Alcotest.(check bool) "predicate met" true
+    (System.run_until t ~timeout:1_000_000 (fun () -> !fired));
+  Alcotest.(check (pair int int)) "clock and progress at the predicate" (179574, 24336)
+    (Engine.now engine, !count)
+
 let tests =
   [
     Alcotest.test_case "boot and start services" `Quick test_boot_and_services;
@@ -266,4 +294,5 @@ let tests =
     Alcotest.test_case "dd (no faults)" `Quick test_dd_clean;
     Alcotest.test_case "dd with driver kills" `Quick test_dd_with_driver_kills;
     Alcotest.test_case "file write/read roundtrip" `Quick test_file_write_read_roundtrip;
+    Alcotest.test_case "run_until bounds a spin (pinned)" `Quick test_run_until_spin_pinned;
   ]
