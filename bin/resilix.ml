@@ -84,9 +84,14 @@ let run_sec72 jobs progress seed faults shard_size hw metrics_out =
           checked "sec7_2 crash-class split" (E.Sec72.ok o)))
 
 let run_fig9 jobs progress () =
-  guard (fun () ->
-      E.Fig9.print (E.Fig9.run ?jobs ?on_progress:(progress_for progress "fig9") ());
-      0)
+  match E.Fig9.repo_root () with
+  | Error m ->
+      Printf.eprintf "resilix: %s\n" m;
+      2
+  | Ok root ->
+      guard (fun () ->
+          E.Fig9.print (E.Fig9.run ?jobs ?on_progress:(progress_for progress "fig9") ~root ());
+          0)
 
 let run_ablations jobs progress seed =
   guard (fun () ->
@@ -120,26 +125,26 @@ let print_outcome_failures (result : Dst.Explore.result) =
 (* With --repro-out, the first finding is written out, minimized
    unless --no-shrink. *)
 let write_first_finding repro_out no_shrink repro =
-  let repro =
-    if no_shrink then repro
-    else
-      match Dst.Replay.shrink repro with
-      | Ok minimized ->
-          Printf.printf "shrunk: %d -> %d fault(s), %d -> %d decision(s)\n"
-            (List.length repro.Dst.Repro.plan)
-            (List.length minimized.Dst.Repro.plan)
-            (Array.length repro.Dst.Repro.decisions)
-            (Array.length minimized.Dst.Repro.decisions);
-          minimized
-      | Error m ->
-          Printf.eprintf "shrink failed (%s); keeping the original repro\n" m;
-          repro
-  in
   match repro_out with
+  | None -> ()
   | Some file ->
+      let repro =
+        if no_shrink then repro
+        else
+          match Dst.Replay.shrink repro with
+          | Ok minimized ->
+              Printf.printf "shrunk: %d -> %d fault(s), %d -> %d decision(s)\n"
+                (List.length repro.Dst.Repro.plan)
+                (List.length minimized.Dst.Repro.plan)
+                (Array.length repro.Dst.Repro.decisions)
+                (Array.length minimized.Dst.Repro.decisions);
+              minimized
+          | Error m ->
+              Printf.eprintf "shrink failed (%s); keeping the original repro\n" m;
+              repro
+      in
       Dst.Repro.save repro file;
       Printf.printf "repro written to %s\n" file
-  | None -> ()
 
 let run_explore_blind jobs progress sc ~seed ~runs faults bound repro_out no_shrink =
   let result =

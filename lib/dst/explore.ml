@@ -67,16 +67,13 @@ let execute ?jobs ?on_progress ?progress_offset ?progress_total (scenario : Scen
 let crash_shape exn =
   Fnv.update_string (Fnv.update_string Fnv.start "crash\x1f") (Printexc.to_string exn)
 
-let crash_violation exn =
-  { Invariant.v_invariant = "scenario-crash"; v_detail = Printexc.to_string exn }
-
 (* Judge one run: its violations, recorded decision trace, and shape. *)
 let judge ~bound spec = function
   | Ok (report : Scenario.report) ->
       (Invariant.check ~bound report, report.Scenario.r_decisions, report.Scenario.r_shape)
   | Error exn ->
       ignore spec;
-      ([ crash_violation exn ], [||], crash_shape exn)
+      ([ Invariant.crash exn ], [||], crash_shape exn)
 
 (* ------------------------------------------------------------------ *)
 (* Blind exploration                                                   *)

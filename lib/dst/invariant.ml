@@ -7,6 +7,7 @@ let pp_violation v = Printf.sprintf "%s: %s" v.v_invariant v.v_detail
 let names vs = List.sort_uniq compare (List.map (fun v -> v.v_invariant) vs)
 
 let same_failure a b = names a = names b
+let crash exn = { v_invariant = "scenario-crash"; v_detail = Printexc.to_string exn }
 
 let check ~bound (r : Scenario.report) =
   let vs = ref [] in

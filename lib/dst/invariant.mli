@@ -35,4 +35,9 @@ val same_failure : violation list -> violation list -> bool
 (** Whether two runs failed the same way ({!names} agree) — the
     predicate shrinking preserves. *)
 
+val crash : exn -> violation
+(** The ["scenario-crash"] violation of a run that raised [exn]
+    instead of reporting: how exploration and replay both judge a
+    crashed run. *)
+
 val pp_violation : violation -> string

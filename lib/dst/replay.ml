@@ -24,10 +24,13 @@ let trim_trailing_zeros a =
   done;
   Array.sub a 0 !n
 
+(* A scenario that raises is judged as exploration judges it: one
+   ["scenario-crash"] violation and no recorded trace. *)
 let execute (sc : Scenario.t) (r : Repro.t) ~plan ~decisions =
-  let report = sc.Scenario.run ~seed:r.seed ~policy:(Engine.Scripted decisions) ~plan in
-  let violations = Invariant.check ~bound:r.bound report in
-  (violations, trim_trailing_zeros report.Scenario.r_decisions)
+  match sc.Scenario.run ~seed:r.seed ~policy:(Engine.Scripted decisions) ~plan with
+  | report ->
+      (Invariant.check ~bound:r.bound report, trim_trailing_zeros report.Scenario.r_decisions)
+  | exception exn -> ([ Invariant.crash exn ], [||])
 
 let run ?scenario (r : Repro.t) =
   match resolve scenario r with

@@ -92,13 +92,15 @@ let image_of_target = function
 (* Schedule every plan entry on the machine's engine.  An entry only
    "applies" when its target has a live process at fire time (kills on
    a mid-restart service miss, exactly like the paper's crash script);
-   the returned counters are reduced into the report. *)
+   the returned counters are reduced into the report.  An entry timed
+   before now (a mutant jittered into the boot) fires now instead. *)
 let apply_plan t plan =
   let applied = ref 0 and expected_spans = ref 0 in
+  let now = Engine.now t.System.engine in
   List.iter
     (fun (e : Fault_plan.entry) ->
       ignore
-        (Engine.schedule_at t.System.engine ~at:e.at (fun () ->
+        (Engine.schedule_at t.System.engine ~at:(max e.at now) (fun () ->
              match e.action with
              | Fault_plan.Kill -> (
                  match System.kill_service_once t ~target:e.target with

@@ -36,15 +36,23 @@ let components =
       Some 4832, Some 0 );
   ]
 
+(* The checkout above the working directory, if it holds every file
+   the table counts: a missing file would count as zero lines. *)
+let repo_root () =
+  let complete root =
+    List.for_all
+      (fun (_, files, _, _) -> List.for_all (fun f -> Sys.file_exists (Filename.concat root f)) files)
+      components
+  in
+  match Sclc.find_repo_root () with
+  | Some root when complete root -> Ok root
+  | Some _ | None ->
+      Error (Printf.sprintf "fig9: no resilix checkout contains %s; run it inside one" (Sys.getcwd ()))
+
 (* Components count independently, so the accounting is a small
    campaign of per-component trials (the counting is pure file
    scanning; seeds are nominal). *)
-let trials ?root () =
-  let root =
-    match root with
-    | Some r -> r
-    | None -> ( match Sclc.find_repo_root () with Some r -> r | None -> ".")
-  in
+let trials ~root () =
   List.map
     (fun (component, files, paper_total, paper_recovery) ->
       Resilix_harness.Trial.make ~name:("fig9/" ^ component) ~seed:0 (fun () ->
@@ -60,8 +68,8 @@ let trials ?root () =
           }))
     components
 
-let run ?jobs ?on_progress ?root () =
-  Resilix_harness.Campaign.(values (run ?jobs ?on_progress (trials ?root ())))
+let run ?jobs ?on_progress ~root () =
+  Resilix_harness.Campaign.(values (run ?jobs ?on_progress (trials ~root ())))
 
 let print rows =
   Table.section "Fig. 9 — executable LoC and recovery-specific LoC per component";

@@ -19,17 +19,21 @@ type row = {
   paper_recovery : int option;
 }
 
-val trials : ?root:string -> unit -> row Resilix_harness.Trial.t list
+val repo_root : unit -> (string, string) result
+(** The repository root found by walking up from the working
+    directory, provided it holds every counted file; otherwise a
+    one-line error. *)
+
+val trials : root:string -> unit -> row Resilix_harness.Trial.t list
 (** One trial per component (pure file scanning). *)
 
 val run :
   ?jobs:int ->
   ?on_progress:(Resilix_harness.Campaign.progress -> unit) ->
-  ?root:string ->
+  root:string ->
   unit ->
   row list
-(** Count.  [root] defaults to the repository root found by walking
-    up from the working directory. *)
+(** Count the files under [root] (see {!repo_root}). *)
 
 val print : row list -> unit
 (** Print measured-vs-paper, with percentage columns. *)

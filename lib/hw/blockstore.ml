@@ -37,5 +37,3 @@ let write t ~lba data =
   for i = 0 to count - 1 do
     Hashtbl.replace t.written (lba + i) (Bytes.sub data (i * t.sector_size) t.sector_size)
   done
-
-let written_sectors t = Hashtbl.length t.written

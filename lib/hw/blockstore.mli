@@ -25,6 +25,3 @@ val read : t -> lba:int -> count:int -> bytes
 val write : t -> lba:int -> bytes -> unit
 (** Write whole sectors starting at [lba]; length must be a multiple
     of the sector size. *)
-
-val written_sectors : t -> int
-(** Number of sectors that have been explicitly written. *)

@@ -28,10 +28,6 @@ let disc t = t.disc
 let burned t = Buffer.contents t.data
 let engine t = Kernel.engine t.kernel
 
-let insert_blank t =
-  t.disc <- Blank;
-  Buffer.clear t.data
-
 let maybe_wedge t =
   t.isr <- t.isr lor isr_err;
   if Rng.bool t.rng t.wedge_prob then t.wedged <- true

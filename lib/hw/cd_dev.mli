@@ -43,6 +43,3 @@ val disc : t -> disc_state
 
 val burned : t -> string
 (** Bytes successfully burned so far. *)
-
-val insert_blank : t -> unit
-(** Replace the disc with a fresh blank one. *)

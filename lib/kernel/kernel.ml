@@ -45,34 +45,29 @@ module String_set = Set.Make (String)
 
 type grant = { for_ : Endpoint.t; base : int; len : int; access : Sysif.grant_access }
 
+(* Every parked state holds the continuation of the syscall the
+   process is blocked in: a wake-up resumes it ([resume_after]), a kill
+   discontinues it. *)
 type pstate =
   | Running
-  | Runnable of { event : Engine.handle; abort : exn -> unit }
+  | Resuming : { r_event : Engine.handle; r_k : ('a, unit) Effect.Deep.continuation } -> pstate
+      (* runnable: [r_event] returns straight to [r_k] *)
   | Recv_wait of {
       filter : Sysif.source;
       for_reply : bool;
           (* true while in the receive phase of sendrec: notifications
              and async messages must queue rather than intercept the
              reply (MINIX's MF_REPLY_PEND) *)
-      resume : (Sysif.rx, Errno.t) result -> unit;
-      abort : exn -> unit;
+      k : ((Sysif.rx, Errno.t) result, unit) Effect.Deep.continuation;
     }
-  | Resuming : { r_event : Engine.handle; r_k : ('a, unit) Effect.Deep.continuation } -> pstate
-      (* runnable, and [r_event] returns straight to the syscall's
-         continuation [r_k]: the closure-free form of [Runnable] *)
   | Send_wait of send_wait
   | Dead
 
-and send_wait = {
-  dst_slot : int;
-  msg : Message.t;
-  completion : completion;
-  sw_abort : exn -> unit;
-}
+and send_wait = { dst_slot : int; msg : Message.t; completion : completion }
 
 and completion =
-  | C_send of ((unit, Errno.t) result -> unit)
-  | C_sendrec of ((Sysif.rx, Errno.t) result -> unit)
+  | C_send of ((unit, Errno.t) result, unit) Effect.Deep.continuation
+  | C_sendrec of ((Sysif.rx, Errno.t) result, unit) Effect.Deep.continuation
 
 type proc = {
   slot : int;
@@ -148,7 +143,6 @@ let trace t = t.trace
 let metrics t = t.metrics
 let set_io_handler t handler = t.io_handler <- handler
 let register_program t key main = Hashtbl.replace t.programs key main
-let has_program t key = Hashtbl.mem t.programs key
 
 let log t fmt = Trace.emit t.trace ~now:(Engine.now t.engine) Trace.Debug "kernel" fmt
 let kemit t ?level payload = Trace.emit_event t.trace ~now:(Engine.now t.engine) ?level "kernel" payload
@@ -187,35 +181,14 @@ let find_by_name t name =
   !found
 
 let proc_memory t ep = match lookup_ep t ep with Lookup_ok p -> Some p.memory | _ -> None
-let proc_name t ep = match lookup_ep t ep with Lookup_ok p -> Some p.p_name | _ -> None
-
-let process_count t =
-  Array.fold_left (fun acc p -> match p with Some p when p.state <> Dead -> acc + 1 | _ -> acc) 0 t.procs
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling primitives                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Transition [proc] to Runnable: after [cost] microseconds either the
-   pending kill fires (unwinding the fiber) or [go] resumes it. *)
-let make_runnable t proc ~cost ~abort go =
-  let event =
-    Engine.schedule t.engine ~after:cost (fun () ->
-        match proc.kill_pending with
-        | Some status ->
-            proc.kill_pending <- None;
-            proc.state <- Running;
-            abort (Sysif.Killed_exn status)
-        | None ->
-            proc.state <- Running;
-            go ())
-  in
-  proc.state <- Runnable { event; abort }
-
-(* [make_runnable] for a syscall that simply returns [v] to its
-   continuation [k]: the same single scheduled event and the same kill
-   check when it fires, but built from [k] and [v] directly rather than
-   from [abort]/[go] closures. *)
+(* Make [proc] runnable: after [cost] microseconds one scheduled event
+   either returns [v] to the syscall's continuation [k] or, if a kill
+   arrived while the process was running, unwinds [k] instead. *)
 let resume_after t proc k ~cost v =
   let event =
     Engine.schedule t.engine ~after:cost (fun () ->
@@ -247,8 +220,8 @@ let devio_allowed proc port =
 (* Wake a process blocked in Recv_wait with result [v]. *)
 let wake_receiver t proc ~cost v =
   match proc.state with
-  | Recv_wait { resume; abort; _ } -> make_runnable t proc ~cost ~abort (fun () -> resume v)
-  | Running | Runnable _ | Resuming _ | Send_wait _ | Dead ->
+  | Recv_wait { k; _ } -> resume_after t proc k ~cost v
+  | Running | Resuming _ | Send_wait _ | Dead ->
       invalid_arg "wake_receiver: process is not receiving"
 
 (* Does a Recv_wait filter accept a message/notification from [src]? *)
@@ -266,7 +239,7 @@ let rec deliver_notify t ~src ~(dst : proc) kind =
   match dst.state with
   | Recv_wait { filter; for_reply = false; _ } when filter_accepts filter src ->
       wake_receiver t dst ~cost:t.costs.notify (Ok (Sysif.Rx_notify { src; kind }))
-  | Running | Runnable _ | Resuming _ | Recv_wait _ | Send_wait _ ->
+  | Running | Resuming _ | Recv_wait _ | Send_wait _ ->
       let already =
         List.exists
           (fun (s, k) -> Endpoint.equal s src && Message.equal_notify_kind k kind)
@@ -302,18 +275,13 @@ and finalize t proc status =
         match other with
         | Some other when other.slot <> proc.slot -> begin
             match other.state with
-            | Send_wait sw when sw.dst_slot = proc.slot -> begin
-                match sw.completion with
-                | C_send resume ->
-                    make_runnable t other ~cost:t.costs.ipc ~abort:sw.sw_abort (fun () ->
-                        resume (Error Errno.E_dead_src_dst))
-                | C_sendrec resume ->
-                    make_runnable t other ~cost:t.costs.ipc ~abort:sw.sw_abort (fun () ->
-                        resume (Error Errno.E_dead_src_dst))
-              end
+            | Send_wait { dst_slot; completion = C_send k; _ } when dst_slot = proc.slot ->
+                resume_after t other k ~cost:t.costs.ipc (Error Errno.E_dead_src_dst)
+            | Send_wait { dst_slot; completion = C_sendrec k; _ } when dst_slot = proc.slot ->
+                resume_after t other k ~cost:t.costs.ipc (Error Errno.E_dead_src_dst)
             | Recv_wait { filter = Sysif.From e; _ } when Endpoint.equal e ep ->
                 wake_receiver t other ~cost:t.costs.ipc (Error Errno.E_dead_src_dst)
-            | Running | Runnable _ | Resuming _ | Recv_wait _ | Send_wait _ | Dead -> ()
+            | Running | Resuming _ | Recv_wait _ | Send_wait _ | Dead -> ()
           end
         | Some _ | None -> ())
       t.procs;
@@ -331,23 +299,23 @@ let status_of_exn = function
   | Memory.Fault _ -> Status.Killed Signal.Sig_segv
   | e -> Status.Panicked (Printexc.to_string e)
 
-(* Kill a process from kernel context. *)
+(* Kill a process from kernel context: unwind the continuation it is
+   parked in. *)
 let do_kill t proc status =
   Metrics.incr t.ctr.c_kills;
+  let e = Sysif.Killed_exn status in
   match proc.state with
   | Dead -> ()
   | Running ->
       (* Only reachable for self-directed kills: the fiber is on the
          stack right now, so unwind at the next syscall boundary. *)
       proc.kill_pending <- Some status
-  | Runnable { event; abort } ->
-      Engine.cancel event;
-      abort (Sysif.Killed_exn status)
   | Resuming { r_event; r_k } ->
       Engine.cancel r_event;
-      Effect.Deep.discontinue r_k (Sysif.Killed_exn status)
-  | Recv_wait { abort; _ } -> abort (Sysif.Killed_exn status)
-  | Send_wait { sw_abort; _ } -> sw_abort (Sysif.Killed_exn status)
+      Effect.Deep.discontinue r_k e
+  | Recv_wait { k; _ } -> Effect.Deep.discontinue k e
+  | Send_wait { completion = C_send k; _ } -> Effect.Deep.discontinue k e
+  | Send_wait { completion = C_sendrec k; _ } -> Effect.Deep.discontinue k e
 
 (* ------------------------------------------------------------------ *)
 (* Syscall implementation                                              *)
@@ -374,7 +342,7 @@ let try_deliver t ~(src_proc : proc) ~(dst : proc) ?(async = false) msg =
       wake_receiver t dst ~cost:t.costs.ipc
         (Ok (Sysif.Rx_msg { src = ep_of_proc src_proc; body = msg }));
       true
-  | Running | Runnable _ | Resuming _ | Recv_wait _ | Send_wait _ | Dead -> false
+  | Running | Resuming _ | Recv_wait _ | Send_wait _ | Dead -> false
 
 (* Find a queued sender acceptable to [filter]; lazily drops stale
    queue entries (senders that died or were already serviced). *)
@@ -442,18 +410,11 @@ let try_complete_receive t (receiver : proc) filter =
             receiver.peers <- String_set.add sender.p_name receiver.peers;
           let sender_ep = ep_of_proc sender in
           (match sw.completion with
-          | C_send resume ->
-              make_runnable t sender ~cost:t.costs.ipc ~abort:sw.sw_abort (fun () -> resume (Ok ()))
-          | C_sendrec resume ->
+          | C_send k -> resume_after t sender k ~cost:t.costs.ipc (Ok ())
+          | C_sendrec k ->
               (* Sender now waits for our reply. *)
               sender.state <-
-                Recv_wait
-                  {
-                    filter = Sysif.From (ep_of_proc receiver);
-                    for_reply = true;
-                    resume;
-                    abort = sw.sw_abort;
-                  });
+                Recv_wait { filter = Sysif.From (ep_of_proc receiver); for_reply = true; k });
           Some (Sysif.Rx_msg { src = sender_ep; body = sw.msg })
       | None -> (
           match take_async receiver filter with
@@ -503,10 +464,24 @@ let do_safecopy t (caller : proc) ~dir ~owner ~grant_id ~grant_off ~local_addr ~
                 Ok ()
               with Memory.Fault _ -> Error Errno.E_range))
 
-(* Start a fiber for [proc] running [body], scheduled [delay] from now. *)
+(* Return [v] from a scheduled syscall after the fixed syscall cost. *)
+let ret t proc k v = resume_after t proc k ~cost:t.costs.syscall v
+
+(* Privilege gate for kernel calls. *)
+let kcall_denied proc op =
+  match Sysif.kcall_name op with
+  | None -> false
+  | Some name -> not (Privilege.allows proc.priv.Privilege.kcalls name)
+
+(* Start a fiber for [proc] running [body], scheduled [delay] from now.
+   The fiber's first act is a [Sleep delay] syscall, so a process that
+   has not started is parked like any other: one scheduled event (with
+   the seq a start has always taken), and a kill before the first
+   instruction discontinues that [Sleep], which [exnc] finalizes with
+   the kill's status. *)
 let rec start_fiber t proc ~delay body =
   let open Effect.Deep in
-  let rec handler : (unit, unit) Effect.Deep.handler =
+  let handler : (unit, unit) handler =
     {
       retc = (fun () -> finalize t proc (Status.Exited 0));
       exnc = (fun e -> finalize t proc (status_of_exn e));
@@ -516,24 +491,24 @@ let rec start_fiber t proc ~delay body =
           | Sysif.Sys op -> Some (fun (k : (a, _) continuation) -> handle_syscall t proc op k)
           | _ -> None);
     }
-  and run () = match_with body () handler in
-  let abort e =
-    (* The fiber never started; there is no continuation to unwind. *)
-    finalize t proc (status_of_exn e)
   in
-  make_runnable t proc ~cost:delay ~abort run
+  match_with
+    (fun () ->
+      Effect.perform (Sysif.Sys (Sysif.Sleep delay));
+      body ())
+    () handler
 
-(* The kernel half of every syscall.  [k] resumes the calling fiber.
-   [Yield] and [Devio_*] are nearly every syscall a driver-VM program
-   makes, and [Interp.run] asks for [My_memory] on every call, so
-   these (with [Now], [Self], and [Sleep], which has the same shape)
-   are answered here, before [handle_general] builds its per-call
-   closures.  [Yield] and [Devio_*] resume in place when nothing else
-   is due first ([resume_soon]); [Sleep] always takes its event, since
-   [System.run_until] predicates observe sleeping apps between
-   steps. *)
+(* The kernel half of every syscall.  [k] resumes the calling fiber:
+   at once ([continue]), after the syscall's cost ([ret],
+   [resume_after]), or when a rendezvous completes (the blocking IPC
+   arms park [k] in [Recv_wait]/[Send_wait]).  No arm builds a closure
+   beyond the event [resume_after] schedules.  [Yield] and [Devio_*]
+   resume in place when nothing else is due first ([resume_soon]);
+   [Sleep] always takes its event, since [System.run_until] predicates
+   observe sleeping apps between steps. *)
 and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
  fun t proc op k ->
+  let open Effect.Deep in
   match op with
   | Sysif.Yield cost -> resume_soon t proc k ~cost ()
   | Sysif.Sleep d -> resume_after t proc k ~cost:(max 0 d) ()
@@ -552,70 +527,44 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
         let r = match t.io_handler (`Out (port, value)) with Ok _ -> Ok () | Error e -> Error e in
         resume_soon t proc k ~cost:t.costs.devio r
       end
-  | Sysif.My_memory -> Effect.Deep.continue k proc.memory
-  | Sysif.Now -> Effect.Deep.continue k (Engine.now t.engine)
-  | Sysif.Self -> Effect.Deep.continue k (ep_of_proc proc)
-  | _ -> handle_general t proc op k
-
-and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.Deep.continuation -> unit =
- fun t proc op k ->
-  let open Effect.Deep in
-  let self_ep = ep_of_proc proc in
-  (* Immediate (free) operations resume synchronously. *)
-  let ret_now (v : a) = continue k v in
-  (* Scheduled operations resume after [cost]. *)
-  let ret ?(cost = t.costs.syscall) (v : a) =
-    let abort e = discontinue k e in
-    make_runnable t proc ~cost ~abort (fun () -> continue k v)
-  in
-  (* Privilege gate for kernel calls. *)
-  let kcall_denied () =
-    match Sysif.kcall_name op with
-    | None -> false
-    | Some name -> not (Privilege.allows proc.priv.Privilege.kcalls name)
-  in
-  match op with
-  | Sysif.My_args -> ret_now proc.p_args
-  | Sysif.My_name -> ret_now proc.p_name
-  | Sysif.Random n -> ret_now (Rng.int t.rng n)
+  | Sysif.My_memory -> continue k proc.memory
+  | Sysif.Now -> continue k (Engine.now t.engine)
+  | Sysif.Self -> continue k (ep_of_proc proc)
+  | Sysif.My_args -> continue k proc.p_args
+  | Sysif.My_name -> continue k proc.p_name
+  | Sysif.Random n -> continue k (Rng.int t.rng n)
   | Sysif.Obs_emit (level, subsystem, payload) ->
       Trace.emit_event t.trace ~now:(Engine.now t.engine) ~level subsystem payload;
-      ret_now ()
+      continue k ()
   | Sysif.Metric_add (name, n) ->
       Metrics.add_named t.metrics name n;
-      ret_now ()
+      continue k ()
   | Sysif.Metric_observe (name, v) ->
       Metrics.observe_named t.metrics name v;
-      ret_now ()
+      continue k ()
   | Sysif.Metric_set (name, v) ->
       Metrics.set_named t.metrics name v;
-      ret_now ()
-  | Sysif.Metric_counter name -> ret_now (Metrics.counter t.metrics name)
-  | Sysif.Metric_gauge name -> ret_now (Metrics.gauge t.metrics name)
-  | Sysif.Metric_histogram name -> ret_now (Metrics.histogram t.metrics name)
+      continue k ()
+  | Sysif.Metric_counter name -> continue k (Metrics.counter t.metrics name)
+  | Sysif.Metric_gauge name -> continue k (Metrics.gauge t.metrics name)
+  | Sysif.Metric_histogram name -> continue k (Metrics.histogram t.metrics name)
   | Sysif.Exit status -> discontinue k (Sysif.Killed_exn status)
   | Sysif.Send (dst, msg) -> begin
       match lookup_ep t dst with
       | Lookup_stale ->
           kemit t ~level:Trace.Warn
             (Event.Ipc
-               { kind = Event.Send; src = self_ep; dst; errno = Some Errno.E_dead_src_dst });
-          ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+               { kind = Event.Send; src = ep_of_proc proc; dst; errno = Some Errno.E_dead_src_dst });
+          ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if dst_proc.slot = proc.slot then ret (Error Errno.E_inval)
-          else if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
-          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then ret ~cost:t.costs.ipc (Ok ())
+          if dst_proc.slot = proc.slot then ret t proc k (Error Errno.E_inval)
+          else if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
+          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
+            resume_after t proc k ~cost:t.costs.ipc (Ok ())
           else begin
             Queue.push proc.slot dst_proc.senders;
-            proc.state <-
-              Send_wait
-                {
-                  dst_slot = dst_proc.slot;
-                  msg;
-                  completion = C_send (fun r -> continue k r);
-                  sw_abort = (fun e -> discontinue k e);
-                }
+            proc.state <- Send_wait { dst_slot = dst_proc.slot; msg; completion = C_send k }
           end
     end
   | Sysif.Sendrec (dst, msg) -> begin
@@ -623,32 +572,18 @@ and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       | Lookup_stale ->
           kemit t ~level:Trace.Warn
             (Event.Ipc
-               { kind = Event.Sendrec; src = self_ep; dst; errno = Some Errno.E_dead_src_dst });
-          ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+               { kind = Event.Sendrec; src = ep_of_proc proc; dst; errno = Some Errno.E_dead_src_dst });
+          ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if dst_proc.slot = proc.slot then ret (Error Errno.E_inval)
-          else if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
+          if dst_proc.slot = proc.slot then ret t proc k (Error Errno.E_inval)
+          else if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
             (* Message handed over; now wait for the reply. *)
-            proc.state <-
-              Recv_wait
-                {
-                  filter = Sysif.From (ep_of_proc dst_proc);
-                  for_reply = true;
-                  resume = (fun r -> continue k r);
-                  abort = (fun e -> discontinue k e);
-                }
+            proc.state <- Recv_wait { filter = Sysif.From (ep_of_proc dst_proc); for_reply = true; k }
           else begin
             Queue.push proc.slot dst_proc.senders;
-            proc.state <-
-              Send_wait
-                {
-                  dst_slot = dst_proc.slot;
-                  msg;
-                  completion = C_sendrec (fun r -> continue k r);
-                  sw_abort = (fun e -> discontinue k e);
-                }
+            proc.state <- Send_wait { dst_slot = dst_proc.slot; msg; completion = C_sendrec k }
           end
     end
   | Sysif.Asend (dst, msg) -> begin
@@ -656,27 +591,33 @@ and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
       | Lookup_stale ->
           kemit t ~level:Trace.Warn
             (Event.Ipc
-               { kind = Event.Async_send; src = self_ep; dst; errno = Some Errno.E_dead_src_dst });
-          ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+               {
+                 kind = Event.Async_send;
+                 src = ep_of_proc proc;
+                 dst;
+                 errno = Some Errno.E_dead_src_dst;
+               });
+          ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
-          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then ret ~cost:t.costs.ipc (Ok ())
+          if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
+          else if try_deliver t ~src_proc:proc ~dst:dst_proc msg then
+            resume_after t proc k ~cost:t.costs.ipc (Ok ())
           else begin
             Metrics.incr t.ctr.c_async_messages;
-            Queue.push (self_ep, msg) dst_proc.async_in;
-            ret (Ok ())
+            Queue.push (ep_of_proc proc, msg) dst_proc.async_in;
+            ret t proc k (Ok ())
           end
     end
   | Sysif.Notify (dst, kind) -> begin
       match lookup_ep t dst with
-      | Lookup_stale -> ret (Error Errno.E_dead_src_dst)
-      | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+      | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
+      | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
       | Lookup_ok dst_proc ->
-          if not (ipc_allowed t proc dst_proc) then ret (Error Errno.E_no_perm)
+          if not (ipc_allowed t proc dst_proc) then ret t proc k (Error Errno.E_no_perm)
           else begin
-            deliver_notify t ~src:self_ep ~dst:dst_proc kind;
-            ret ~cost:t.costs.notify (Ok ())
+            deliver_notify t ~src:(ep_of_proc proc) ~dst:dst_proc kind;
+            resume_after t proc k ~cost:t.costs.notify (Ok ())
           end
     end
   | Sysif.Receive filter -> begin
@@ -690,49 +631,42 @@ and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
             else match lookup_ep t e with Lookup_ok _ -> false | Lookup_stale | Lookup_bad -> true)
       in
       match try_complete_receive t proc filter with
-      | Some rx -> ret ~cost:t.costs.ipc (Ok rx)
+      | Some rx -> resume_after t proc k ~cost:t.costs.ipc (Ok rx)
       | None ->
-          if stale_source then ret (Error Errno.E_dead_src_dst)
-          else
-            proc.state <-
-              Recv_wait
-                {
-                  filter;
-                  for_reply = false;
-                  resume = (fun r -> continue k r);
-                  abort = (fun e -> discontinue k e);
-                }
+          if stale_source then ret t proc k (Error Errno.E_dead_src_dst)
+          else proc.state <- Recv_wait { filter; for_reply = false; k }
     end
   | Sysif.Safecopy { dir; owner; grant; grant_off; local_addr; len } ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else
         let cost = t.costs.copy_base + (len / t.costs.copy_bytes_per_us) in
-        ret ~cost (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
+        resume_after t proc k ~cost
+          (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
   | Sysif.Grant_create { for_; base; len; access } ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else if base < 0 || len < 0 || base + len > Memory.size proc.memory then
-        ret (Error Errno.E_range)
+        ret t proc k (Error Errno.E_range)
       else begin
         let id = proc.next_grant in
         proc.next_grant <- proc.next_grant + 1;
         Hashtbl.replace proc.grants id { for_; base; len; access };
-        ret (Ok id)
+        ret t proc k (Ok id)
       end
   | Sysif.Grant_revoke id ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         Hashtbl.remove proc.grants id;
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Irq_register line ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else if not (Privilege.allows_irq proc.priv line) then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else if not (Privilege.allows_irq proc.priv line) then ret t proc k (Error Errno.E_no_perm)
       else begin
         Hashtbl.replace t.irq_table line proc.slot;
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Alarm delay ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         (match proc.alarm with Some h -> Engine.cancel h | None -> ());
         proc.alarm <- None;
@@ -743,65 +677,63 @@ and handle_general : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
                    proc.alarm <- None;
                    if proc.state <> Dead then
                      deliver_notify t ~src:Wellknown.hardware ~dst:proc Message.N_alarm));
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Iommu_map grant_id ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         match Hashtbl.find_opt proc.grants grant_id with
-        | None -> ret (Error Errno.E_no_perm)
+        | None -> ret t proc k (Error Errno.E_no_perm)
         | Some g ->
-            if not (Endpoint.equal g.for_ Wellknown.hardware) then ret (Error Errno.E_no_perm)
+            if not (Endpoint.equal g.for_ Wellknown.hardware) then ret t proc k (Error Errno.E_no_perm)
             else begin
               let handle = t.next_dma_handle in
               t.next_dma_handle <- t.next_dma_handle + 1;
               Hashtbl.replace t.iommu handle
                 { owner_slot = proc.slot; owner_gen = proc.gen; grant_id };
-              ret (Ok handle)
+              ret t proc k (Ok handle)
             end
       end
   | Sysif.Iommu_unmap handle ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         (match Hashtbl.find_opt t.iommu handle with
         | Some e when e.owner_slot = proc.slot -> Hashtbl.remove t.iommu handle
         | Some _ | None -> ());
-        ret (Ok ())
+        ret t proc k (Ok ())
       end
   | Sysif.Proc_create { name; program; args; priv; mem_kb } ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
-      else ret ~cost:t.costs.spawn (spawn_dynamic t ~name ~program ~args ~priv ~mem_kb)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
+      else
+        resume_after t proc k ~cost:t.costs.spawn
+          (spawn_dynamic t ~name ~program ~args ~priv ~mem_kb)
   | Sysif.Proc_kill (target, signal) ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         match lookup_ep t target with
-        | Lookup_stale -> ret (Error Errno.E_dead_src_dst)
-        | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+        | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
+        | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
         | Lookup_ok target_proc -> (
             match signal with
             | Signal.Sig_kill | Signal.Sig_segv | Signal.Sig_ill ->
                 do_kill t target_proc (Status.Killed signal);
-                ret (Ok ())
+                ret t proc k (Ok ())
             | Signal.Sig_term | Signal.Sig_chld ->
-                deliver_notify t ~src:self_ep ~dst:target_proc (Message.N_sig signal);
-                ret (Ok ()))
+                deliver_notify t ~src:(ep_of_proc proc) ~dst:target_proc (Message.N_sig signal);
+                ret t proc k (Ok ()))
       end
   | Sysif.Reap_exit ->
-      if kcall_denied () then ret None else ret (Queue.take_opt t.exit_queue)
+      if kcall_denied proc op then ret t proc k None else ret t proc k (Queue.take_opt t.exit_queue)
   | Sysif.Privctl (target, priv) ->
-      if kcall_denied () then ret (Error Errno.E_no_perm)
+      if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
       else begin
         match lookup_ep t target with
-        | Lookup_stale -> ret (Error Errno.E_dead_src_dst)
-        | Lookup_bad -> ret (Error Errno.E_bad_endpoint)
+        | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
+        | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
         | Lookup_ok target_proc ->
             target_proc.priv <- priv;
-            ret (Ok ())
+            ret t proc k (Ok ())
       end
-  | Sysif.Yield _ | Sysif.Sleep _ | Sysif.Devio_in _ | Sysif.Devio_out _ | Sysif.My_memory
-  | Sysif.Now | Sysif.Self ->
-      (* Answered by [handle_syscall]; never routed here. *)
-      assert false
 
 (* ------------------------------------------------------------------ *)
 (* Process creation                                                    *)
@@ -839,7 +771,7 @@ and make_proc t ~slot ~name ~args ~priv ~mem_kb =
       p_args = args;
       priv;
       memory = Memory.create ~size:(mem_kb * 1024);
-      state = Running (* immediately replaced by make_runnable *);
+      state = Running (* immediately parked by start_fiber *);
       kill_pending = None;
       pending_notifies = [];
       async_in = Queue.create ();

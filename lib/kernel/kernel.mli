@@ -106,9 +106,6 @@ val register_program : t -> string -> (unit -> unit) -> unit
     restarts) services by program key, which models reloading a fresh
     copy of the driver binary. *)
 
-val has_program : t -> string -> bool
-(** Whether [key] is registered. *)
-
 val spawn_wellknown :
   t ->
   ep:Endpoint.t ->
@@ -174,9 +171,3 @@ val find_by_name : t -> string -> Endpoint.t option
 val proc_memory : t -> Endpoint.t -> Memory.t option
 (** Address space of a live process — used by the software fault
     injector to mutate a running driver's loaded code image. *)
-
-val proc_name : t -> Endpoint.t -> string option
-(** Name of a live process. *)
-
-val process_count : t -> int
-(** Number of live processes. *)

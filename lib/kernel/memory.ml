@@ -17,14 +17,6 @@ let write t ~addr src =
   check t ~addr ~len;
   Bytes.blit src 0 t.data addr len
 
-let blit_out t ~addr ~dst ~dst_off ~len =
-  check t ~addr ~len;
-  Bytes.blit t.data addr dst dst_off len
-
-let blit_in t ~addr ~src ~src_off ~len =
-  check t ~addr ~len;
-  Bytes.blit src src_off t.data addr len
-
 let copy ~src ~src_addr ~dst ~dst_addr ~len =
   check src ~addr:src_addr ~len;
   check dst ~addr:dst_addr ~len;

@@ -25,12 +25,6 @@ val read : t -> addr:int -> len:int -> bytes
 val write : t -> addr:int -> bytes -> unit
 (** Copy a buffer in at [addr].  @raise Fault on out-of-bounds. *)
 
-val blit_out : t -> addr:int -> dst:bytes -> dst_off:int -> len:int -> unit
-(** Copy from the space into a caller buffer without allocating. *)
-
-val blit_in : t -> addr:int -> src:bytes -> src_off:int -> len:int -> unit
-(** Copy from a caller buffer into the space. *)
-
 val copy : src:t -> src_addr:int -> dst:t -> dst_addr:int -> len:int -> unit
 (** Inter-space copy (the kernel's virtual-copy primitive). *)
 

@@ -16,7 +16,6 @@ type pconn = {
 
 type flow = {
   fl_key : int * int * int;
-  fl_local_port : int;
   fl_tkey : int;
   mutable fl_tcp : Tcp.t option; (* None only during construction *)
 }
@@ -41,20 +40,15 @@ type t = {
   mutable alarm : Engine.handle option;
   mutable alarm_deadline : int;
   mutable next_client_port : int;
-  mutable served : int;
   mutable accepted : int;
   mutable udp_seq : int;
 }
 
 let add_file t name ~size ~seed = Hashtbl.replace t.files name (size, seed)
 
-let file_fnv t name =
-  Option.map (fun (size, seed) -> Filegen.fnv_digest ~seed ~size) (Hashtbl.find_opt t.files name)
-
 let file_md5 t name =
   Option.map (fun (size, seed) -> Filegen.md5_digest ~seed ~size) (Hashtbl.find_opt t.files name)
 
-let bytes_served t = t.served
 let connections t = t.accepted
 
 let emit_frame t ~dst_mac ~dst_ip body =
@@ -129,7 +123,6 @@ let rec pump_file t conn =
           let len = min (min space 16384) (size - sent) in
           let data = Filegen.read ~seed ~off:sent ~len in
           let accepted = Tcp.send conn.tcp ~now:(Engine.now t.engine) data ~off:0 ~len in
-          t.served <- t.served + accepted;
           conn.serving <- Some (seed, size, sent + accepted);
           if accepted > 0 then pump_file t conn
         end
@@ -261,7 +254,6 @@ let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
       alarm = None;
       alarm_deadline = 0;
       next_client_port = 50_000;
-      served = 0;
       accepted = 0;
       udp_seq = 0;
     }
@@ -276,8 +268,6 @@ let create ~engine ~rng ~link ~side ~ip ~mac ?(files = []) () =
 
 let flow_tcp f =
   match f.fl_tcp with Some tcp -> tcp | None -> invalid_arg "Peer.flow_tcp: under construction"
-
-let flow_local_port f = f.fl_local_port
 
 let open_flow t ~dst_ip ~dst_mac ~dst_port ?local_port ?(rx_window = 65536) ?(tx_buffer = 16384)
     ~notify () =
@@ -294,7 +284,7 @@ let open_flow t ~dst_ip ~dst_mac ~dst_port ?local_port ?(rx_window = 65536) ?(tx
   in
   let key = (dst_ip, dst_port, local_port) in
   let tkey = alloc_tkey t in
-  let flow = { fl_key = key; fl_local_port = local_port; fl_tkey = tkey; fl_tcp = None } in
+  let flow = { fl_key = key; fl_tkey = tkey; fl_tcp = None } in
   let cb =
     {
       Tcp.emit = (fun seg -> emit_frame t ~dst_mac ~dst_ip (Wire.Tcp seg));

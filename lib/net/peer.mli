@@ -28,14 +28,8 @@ val create :
 val add_file : t -> string -> size:int -> seed:int -> unit
 (** Register another servable file. *)
 
-val file_fnv : t -> string -> string option
-(** FNV digest of a registered file (what the client should see). *)
-
 val file_md5 : t -> string -> string option
 (** MD5 digest of a registered file. *)
-
-val bytes_served : t -> int
-(** Total file bytes accepted into server-side TCP so far. *)
 
 val connections : t -> int
 (** TCP connections accepted so far. *)
@@ -73,9 +67,6 @@ val open_flow :
 
 val flow_tcp : flow -> Tcp.t
 (** The flow's TCP engine. *)
-
-val flow_local_port : flow -> int
-(** The ephemeral port the flow opened from. *)
 
 val flow_close : t -> flow -> unit
 (** Graceful close (FIN once the send buffer drains). *)

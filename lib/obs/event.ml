@@ -121,26 +121,3 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let payload_kind = function
-  | Ipc _ -> "ipc"
-  | Safecopy _ -> "safecopy"
-  | Irq _ -> "irq"
-  | Spawn _ -> "spawn"
-  | Exit _ -> "exit"
-  | Defect _ -> "defect"
-  | Policy_decision _ -> "policy_decision"
-  | Policy_action _ -> "policy_action"
-  | Breaker _ -> "breaker"
-  | Restart _ -> "restart"
-  | Ds_publish _ -> "ds_publish"
-  | Retry _ -> "retry"
-  | Heartbeat_miss _ -> "heartbeat_miss"
-  | Log _ -> "log"
-
-let to_json e =
-  Printf.sprintf
-    "{\"type\":\"event\",\"at_us\":%d,\"level\":\"%s\",\"subsystem\":\"%s\",\"kind\":\"%s\",\"message\":\"%s\"}"
-    e.time (level_tag e.level) (json_escape e.subsystem)
-    (payload_kind e.payload)
-    (json_escape (message e.payload))

@@ -15,7 +15,7 @@ type event = Event.t = {
    small; once full, the oldest slot is overwritten in place. *)
 type t = {
   capacity : int;
-  mutable echo : bool;
+  echo : bool;
   mutable buf : event array;
   mutable head : int; (* index of the oldest retained event *)
   mutable len : int;
@@ -24,7 +24,6 @@ type t = {
 let create ?(capacity = 65536) ?(echo = false) () =
   { capacity; echo; buf = [||]; head = 0; len = 0 }
 
-let set_echo t echo = t.echo <- echo
 
 let pp_event = Event.pp
 

@@ -36,9 +36,6 @@ val sink_attached : t -> bool
     hand may use this as a guard; {!emit} and {!emit_event} already
     check it. *)
 
-val set_echo : t -> bool -> unit
-(** Toggle mirroring to stderr. *)
-
 val emit : t -> now:Time.t -> level -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** [emit t ~now level subsystem fmt ...] records one free-form
     [Log] event. *)

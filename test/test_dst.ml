@@ -604,6 +604,36 @@ let test_dp_inject_pinned_digest () =
   done;
   Alcotest.(check string) "dp-inject digest" "c031ef11461ef920" (Fnv.to_hex !h)
 
+(* A mutant can jitter a plan entry to 0 us, before the machine has
+   finished booting; the entry fires at the end of boot instead of
+   raising out of [Engine.schedule_at]. *)
+let test_plan_entry_before_boot () =
+  let sc = Scenario.wget_sized ~size:(64 * 1024) () in
+  let plan = [ { Fault_plan.at = 0; target = "eth.rtl8139"; action = Fault_plan.Kill } ] in
+  let r = sc.Scenario.run ~seed:7 ~policy:Engine.Fifo ~plan in
+  Alcotest.(check int) "the kill applied" 1 r.Scenario.r_applied;
+  Alcotest.(check (list string)) "and the run is clean" []
+    (names (Invariant.check ~bound:Explore.default_bound r))
+
+(* Replay (and so shrinking) judges a raising scenario exactly as
+   exploration does, instead of letting the exception escape. *)
+let test_replay_judges_crash () =
+  let crashing = { toy with Scenario.run = (fun ~seed:_ ~policy:_ ~plan:_ -> failwith "boom") } in
+  let r = Explore.run ~jobs:1 crashing ~seed:3 ~runs:1 () in
+  match r.Explore.failures with
+  | [] -> Alcotest.fail "expected a crash finding"
+  | first :: _ -> (
+      let repro = Explore.to_repro r first in
+      (match Replay.run ~scenario:crashing repro with
+      | Error m -> Alcotest.fail m
+      | Ok outcome ->
+          Alcotest.(check bool) "replay reproduces the crash" true outcome.Replay.reproduced;
+          Alcotest.(check bool) "with explore's violation" true
+            (outcome.Replay.violations = first.Explore.o_violations));
+      match Replay.shrink ~scenario:crashing repro with
+      | Error m -> Alcotest.fail m
+      | Ok small -> Alcotest.(check int) "shrinks to no faults" 0 (List.length small.Repro.plan))
+
 let tests =
   [
     Alcotest.test_case "fault plan is pure and sorted" `Quick test_plan_pure_and_sorted;
@@ -642,4 +672,6 @@ let tests =
     Alcotest.test_case "guided: covers at least blind on wget" `Quick
       test_guided_covers_blind_on_wget;
     Alcotest.test_case "dp-inject runs pinned" `Quick test_dp_inject_pinned_digest;
+    Alcotest.test_case "plan entry before boot end" `Quick test_plan_entry_before_boot;
+    Alcotest.test_case "replay judges a crash like explore" `Quick test_replay_judges_crash;
   ]

@@ -270,32 +270,58 @@ let test_sec72_jobs_invariant () =
   Alcotest.(check int) "every shard injected its share" 200 o1.E.Sec72.injected;
   Alcotest.(check bool) "crash-class split accounts for every crash" true (E.Sec72.ok o1)
 
+(* Run the resilix CLI with [args] (from [cwd], if given) and return
+   its exit code, stdout and stderr. *)
+let run_cli ?cwd args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      (Filename.concat (Filename.concat ".." "bin") "resilix.exe")
+  in
+  let exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
+  let slurp file = In_channel.with_open_bin file In_channel.input_all in
+  let out = Filename.temp_file "resilix" ".out" and err = Filename.temp_file "resilix" ".err" in
+  let cd = match cwd with Some dir -> "cd " ^ Filename.quote dir ^ " && " | None -> "" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s%s %s >%s 2>%s" cd (Filename.quote exe) args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let stdout = slurp out and stderr = slurp err in
+  Sys.remove out;
+  Sys.remove err;
+  (rc, stdout, stderr)
+
 (* [--jobs 0] on every campaign subcommand of the resilix CLI is a
    one-line usage error with exit 2, raised before any work starts
    (the campaign runner would otherwise die with an uncaught
    Invalid_argument). *)
 let test_cli_rejects_zero_jobs () =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      (Filename.concat (Filename.concat ".." "bin") "resilix.exe")
-  in
-  let slurp file = In_channel.with_open_bin file In_channel.input_all in
   List.iter
     (fun sub ->
-      let out = Filename.temp_file "resilix" ".out" and err = Filename.temp_file "resilix" ".err" in
-      let rc =
-        Sys.command
-          (Printf.sprintf "%s %s --jobs 0 >%s 2>%s" (Filename.quote exe) sub (Filename.quote out)
-             (Filename.quote err))
-      in
-      let stdout = slurp out and stderr = slurp err in
-      Sys.remove out;
-      Sys.remove err;
+      let rc, stdout, stderr = run_cli (sub ^ " --jobs 0") in
       Alcotest.(check int) (sub ^ ": exit 2") 2 rc;
       Alcotest.(check string) (sub ^ ": nothing on stdout") "" stdout;
       Alcotest.(check string) (sub ^ ": one-line error") "resilix: --jobs must be >= 1 (got 0)\n"
         stderr)
     [ "fig3"; "fig7"; "fig8"; "sec72"; "fig9"; "ablations"; "explore dp-inject"; "all" ]
+
+(* Guided mutants can time a fault before the machine finished
+   booting; exploring must still exit like a fuzzer (0 clean, 1
+   finding), never with an uncaught exception. *)
+let test_cli_guided_explore_exits_cleanly () =
+  let rc, _, stderr = run_cli "explore wget --seed 7 --runs 32 --guided --jobs 2 --progress never" in
+  Alcotest.(check bool) (Printf.sprintf "exit 0 or 1 (got %d: %s)" rc stderr) true (rc = 0 || rc = 1)
+
+(* Fig. 9 counts this repository's sources: run anywhere else it is a
+   one-line error, not a table of zeros. *)
+let test_cli_fig9_outside_checkout () =
+  let dir = Filename.temp_dir "resilix" "fig9" in
+  let rc, stdout, stderr = run_cli ~cwd:dir "fig9 --progress never" in
+  Sys.rmdir dir;
+  Alcotest.(check int) "exit 2" 2 rc;
+  Alcotest.(check string) "nothing on stdout" "" stdout;
+  Alcotest.(check int) "one line on stderr" 1
+    (List.length (String.split_on_char '\n' (String.trim stderr)))
 
 let tests =
   [
@@ -308,4 +334,7 @@ let tests =
     Alcotest.test_case "sec7_2 campaign is jobs-invariant" `Quick test_sec72_jobs_invariant;
     Alcotest.test_case "fig8 sweep is jobs-invariant" `Quick test_fig8_jobs_invariant;
     Alcotest.test_case "CLI rejects --jobs 0" `Quick test_cli_rejects_zero_jobs;
+    Alcotest.test_case "CLI guided explore exits cleanly" `Quick
+      test_cli_guided_explore_exits_cleanly;
+    Alcotest.test_case "CLI fig9 outside a checkout" `Quick test_cli_fig9_outside_checkout;
   ]

@@ -820,6 +820,114 @@ let prop_grant_bounds =
       | Some (Error Errno.E_nomem) -> not grant_creatable
       | _ -> false)
 
+(* The kernel parks a waiting process in one way: the continuation of
+   the syscall it is in.  Each row parks a victim at one place it can
+   wait and kills it there.  The kill must unwind that syscall exactly
+   once: the victim exits [Killed Sig_kill] with one exit-queue entry,
+   runs no code after the syscall, and a peer blocked on it wakes with
+   [E_dead_src_dst]. *)
+let test_kill_at_every_wait () =
+  let rows =
+    [
+      ("before its first instruction", 3130, fun ~sink:_ ~server:_ -> ());
+      ("blocked in send", 10_000, fun ~sink ~server:_ -> ignore (Api.send sink Message.Ok_reply));
+      ( "in the send phase of sendrec",
+        10_000,
+        fun ~sink ~server:_ -> ignore (Api.sendrec sink Message.Ok_reply) );
+      ( "in the reply phase of sendrec",
+        10_000,
+        fun ~sink:_ ~server -> ignore (Api.sendrec server Message.Ok_reply) );
+      ("in receive", 10_000, fun ~sink:_ ~server:_ -> ignore (Api.receive Sysif.Any));
+      ("in sleep", 10_000, fun ~sink:_ ~server:_ -> Api.sleep 1_000_000);
+    ]
+  in
+  List.iter
+    (fun (row, kill_at, wait) ->
+      let engine, kernel = make_kernel () in
+      (* [sink] never receives; [server] takes one request and never
+         replies. *)
+      let sink = spawn kernel "sink" (fun () -> Api.sleep 1_000_000) in
+      let server =
+        spawn kernel "server" (fun () ->
+            ignore (Api.receive Sysif.Any);
+            Api.sleep 1_000_000)
+      in
+      let victim = ref None and after = ref false and peer_got = ref None and reaped = ref [] in
+      (* The peer blocks on the victim at 3120 us; the victim, spawned
+         at 50 us, runs its first instruction at 3150 us. *)
+      ignore
+        (spawn kernel "peer" (fun () ->
+             Api.sleep 20;
+             Option.iter (fun v -> peer_got := Some (Api.receive (Sysif.From v))) !victim));
+      ignore
+        (spawn kernel "reaper" (fun () ->
+             Api.sleep 20_000;
+             let rec drain () =
+               match Api.reap_exit () with
+               | Some e ->
+                   reaped := e :: !reaped;
+                   drain ()
+               | None -> ()
+             in
+             drain ()));
+      ignore
+        (Engine.schedule engine ~after:50 (fun () ->
+             victim :=
+               Some
+                 (spawn kernel "victim" (fun () ->
+                      wait ~sink ~server;
+                      after := true))));
+      ignore
+        (Engine.schedule engine ~after:kill_at (fun () ->
+             Option.iter
+               (fun v -> ignore (Kernel.kill kernel v (Status.Killed Signal.Sig_kill)))
+               !victim));
+      Engine.run engine;
+      let v = Option.get !victim in
+      Alcotest.(check bool) (row ^ ": victim dead") false (Kernel.alive kernel v);
+      Alcotest.(check bool) (row ^ ": nothing after the syscall ran") false !after;
+      Alcotest.(check bool)
+        (row ^ ": one exit-queue entry, Killed Sig_kill")
+        true
+        (List.filter (fun (ep, _, _) -> Endpoint.equal ep v) !reaped
+        = [ (v, "victim", Status.Killed Signal.Sig_kill) ]);
+      match !peer_got with
+      | Some (Error Errno.E_dead_src_dst) -> ()
+      | _ -> Alcotest.fail (row ^ ": peer blocked on the victim must get E_dead_src_dst"))
+    rows
+
+(* Minor words one sendrec round trip allocates (ping's sendrec plus
+   the echo server's receive and reply send), averaged over [rounds]. *)
+let sendrec_words ~rounds =
+  let engine, kernel = make_kernel () in
+  let echo =
+    spawn kernel "echo" (fun () ->
+        let rec loop () =
+          (match Api.receive Sysif.Any with
+          | Ok (Sysif.Rx_msg { src; _ }) -> ignore (Api.send src Message.Ok_reply)
+          | _ -> ());
+          loop ()
+        in
+        loop ())
+  in
+  let done_rounds = ref 0 in
+  ignore
+    (spawn kernel "ping" (fun () ->
+         for _ = 1 to rounds do
+           match Api.sendrec echo Message.Ok_reply with Ok _ -> incr done_rounds | Error _ -> ()
+         done));
+  let w0 = Gc.minor_words () in
+  Engine.run engine;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every round trip completed" rounds !done_rounds;
+  w /. float_of_int rounds
+
+(* A blocked process holds its syscall continuation and nothing else,
+   so a round trip builds no per-call closures. *)
+let test_sendrec_allocation () =
+  let w = sendrec_words ~rounds:5000 in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per round trip <= 185" w) true (w <= 185.)
+
 let tests =
   [
     Alcotest.test_case "rendezvous send/receive" `Quick test_rendezvous_send_receive;
@@ -856,4 +964,6 @@ let tests =
     Alcotest.test_case "kill during devio unwinds there" `Quick test_kill_during_devio;
     Alcotest.test_case "run ~until bounds a spin (pinned)" `Quick test_run_until_spin_pinned;
     Alcotest.test_case "2M-yield chain" `Quick test_long_yield_chain;
+    Alcotest.test_case "kill at every wait unwinds once" `Quick test_kill_at_every_wait;
+    Alcotest.test_case "sendrec allocation bound" `Quick test_sendrec_allocation;
   ]

@@ -43,7 +43,11 @@ let test_find_repo_root () =
   | None -> Alcotest.fail "repo root not found"
 
 let test_fig9_totals_sane () =
-  let rows = Resilix_experiments.Fig9.run () in
+  let rows =
+    match Resilix_experiments.Fig9.repo_root () with
+    | Ok root -> Resilix_experiments.Fig9.run ~root ()
+    | Error m -> Alcotest.fail m
+  in
   List.iter
     (fun r ->
       Alcotest.(check bool)
