@@ -58,21 +58,28 @@ let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    match Interp.run (Image.find programs name) ~regs with
-    | r0 -> r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "audio: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "audio: unexpected I/O failure on port %d" port)
+  let exec name =
+    let program = Image.find programs name in
+    fun ~r1 ~r2 ->
+      Array.fill regs 0 8 0;
+      regs.(1) <- r1;
+      regs.(2) <- r2;
+      match Interp.run program ~regs with
+      | r0 -> r0
+      | exception Interp.Check_failed { detail; _ } ->
+          Api.panic (Printf.sprintf "audio: consistency check failed in %s: %s" name detail)
+      | exception Interp.Io_failed { port } ->
+          Api.panic (Printf.sprintf "audio: unexpected I/O failure on port %d" port)
   in
+  let init = exec "init"
+  and ctrl = exec "ctrl"
+  and level = exec "level"
+  and feed = exec "feed"
+  and ack = exec "ack" in
   (match Api.irq_register irq with
   | Ok () -> ()
   | Error _ -> Api.panic "audio: cannot register IRQ");
-  ignore (exec "init" ~r1:0 ~r2:0);
+  ignore (init ~r1:0 ~r2:0);
   let mem = Api.memory () in
   let spool = Queue.create () in
   let spooled = ref 0 in
@@ -81,8 +88,7 @@ let program () =
   let pump () =
     let continue = ref true in
     while !continue && not (Queue.is_empty spool) do
-      let level = exec "level" ~r1:0 ~r2:0 in
-      let room = fifo_cap - level in
+      let room = fifo_cap - level ~r1:0 ~r2:0 in
       if room < 4 then continue := false
       else begin
         let chunk = Queue.peek spool in
@@ -90,7 +96,7 @@ let program () =
         if take = 0 then continue := false
         else begin
           Memory.write mem ~addr:stage_buf (Bytes.sub chunk 0 take);
-          ignore (exec "feed" ~r1:stage_buf ~r2:((take + 3) / 4));
+          ignore (feed ~r1:stage_buf ~r2:((take + 3) / 4));
           spooled := !spooled - take;
           if take = Bytes.length chunk then ignore (Queue.pop spool)
           else begin
@@ -123,7 +129,7 @@ let program () =
                 spooled := !spooled + len;
                 if not !playing then begin
                   playing := true;
-                  ignore (exec "ctrl" ~r1:1 ~r2:0)
+                  ignore (ctrl ~r1:1 ~r2:0)
                 end;
                 pump ();
                 Driver_lib.Reply (Ok len)
@@ -133,16 +139,16 @@ let program () =
           match op with
           | "start" ->
               playing := true;
-              ignore (exec "ctrl" ~r1:1 ~r2:0);
+              ignore (ctrl ~r1:1 ~r2:0);
               Driver_lib.Reply (Ok 0)
           | "stop" ->
               playing := false;
-              ignore (exec "ctrl" ~r1:0 ~r2:0);
+              ignore (ctrl ~r1:0 ~r2:0);
               Driver_lib.Reply (Ok 0)
           | _ -> Driver_lib.Reply (Error Errno.E_inval));
       dh_irq =
         (fun ~line:_ ->
-          ignore (exec "ack" ~r1:0 ~r2:0);
+          ignore (ack ~r1:0 ~r2:0);
           pump ());
     }
   in

@@ -68,21 +68,27 @@ let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    match Interp.run (Image.find programs name) ~regs with
-    | r0 -> r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "printer: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "printer: unexpected I/O failure on port %d" port)
+  let exec name =
+    let program = Image.find programs name in
+    fun ~r1 ~r2 ->
+      Array.fill regs 0 8 0;
+      regs.(1) <- r1;
+      regs.(2) <- r2;
+      match Interp.run program ~regs with
+      | r0 -> r0
+      | exception Interp.Check_failed { detail; _ } ->
+          Api.panic (Printf.sprintf "printer: consistency check failed in %s: %s" name detail)
+      | exception Interp.Io_failed { port } ->
+          Api.panic (Printf.sprintf "printer: unexpected I/O failure on port %d" port)
   in
+  let init = exec "init"
+  and level = exec "level"
+  and feed = exec "feed"
+  and ack = exec "ack" in
   (match Api.irq_register irq with
   | Ok () -> ()
   | Error _ -> Api.panic "printer: cannot register IRQ");
-  ignore (exec "init" ~r1:0 ~r2:0);
+  ignore (init ~r1:0 ~r2:0);
   let mem = Api.memory () in
   let current = ref None in
   (* Feed as much of the current job as the FIFO can take; reply when
@@ -91,13 +97,12 @@ let program () =
     match !current with
     | None -> ()
     | Some job ->
-        let level = exec "level" ~r1:0 ~r2:0 in
-        let room = fifo_cap - level in
+        let room = fifo_cap - level ~r1:0 ~r2:0 in
         let remaining = Bytes.length job.data - job.off in
         let take = min room remaining in
         if take > 0 then begin
           Memory.write mem ~addr:stage_buf (Bytes.sub job.data job.off take);
-          ignore (exec "feed" ~r1:stage_buf ~r2:take);
+          ignore (feed ~r1:stage_buf ~r2:take);
           job.off <- job.off + take
         end;
         if job.off >= Bytes.length job.data then begin
@@ -123,7 +128,7 @@ let program () =
           end);
       dh_irq =
         (fun ~line:_ ->
-          ignore (exec "ack" ~r1:0 ~r2:0);
+          ignore (ack ~r1:0 ~r2:0);
           pump ());
     }
   in

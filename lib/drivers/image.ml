@@ -25,7 +25,7 @@ let load t =
   let mem = Api.memory () in
   Memory.write mem ~addr:t.origin t.blob;
   List.map
-    (fun (name, base, insn_count) -> (name, Interp.make ~base ~insn_count))
+    (fun (name, base, insn_count) -> (name, Interp.make ~mem ~base ~insn_count))
     t.programs
 
 let find programs name =

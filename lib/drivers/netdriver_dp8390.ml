@@ -142,18 +142,27 @@ let program () =
   let base, irq = parse_args () in
   let programs = Image.load (image ~base) in
   let regs = Array.make 8 0 in
-  let exec name ~r1 ~r2 ~r3 =
-    Array.fill regs 0 8 0;
-    regs.(1) <- r1;
-    regs.(2) <- r2;
-    regs.(3) <- r3;
-    match Interp.run (Image.find programs name) ~regs with
-    | r0 -> Ok r0
-    | exception Interp.Check_failed { detail; _ } ->
-        Api.panic (Printf.sprintf "dp8390: consistency check failed in %s: %s" name detail)
-    | exception Interp.Io_failed { port } ->
-        Api.panic (Printf.sprintf "dp8390: unexpected I/O failure on port %d in %s" port name)
+  let exec name =
+    let program = Image.find programs name in
+    fun ~r1 ~r2 ~r3 ->
+      Array.fill regs 0 8 0;
+      regs.(1) <- r1;
+      regs.(2) <- r2;
+      regs.(3) <- r3;
+      match Interp.run program ~regs with
+      | r0 -> Ok r0
+      | exception Interp.Check_failed { detail; _ } ->
+          Api.panic (Printf.sprintf "dp8390: consistency check failed in %s: %s" name detail)
+      | exception Interp.Io_failed { port } ->
+          Api.panic (Printf.sprintf "dp8390: unexpected I/O failure on port %d in %s" port name)
   in
+  let reset = exec "reset"
+  and cmdstat = exec "cmdstat"
+  and setup = exec "setup"
+  and tx = exec "tx"
+  and rx = exec "rx"
+  and isr = exec "isr"
+  and txack = exec "txack" in
   (match Api.irq_register irq with
   | Ok () -> ()
   | Error _ -> Api.panic "dp8390: cannot register IRQ");
@@ -182,13 +191,13 @@ let program () =
     | Error _ -> ()
     | Ok () ->
         tx_busy := true;
-        ignore (exec "tx" ~r1:len ~r2:tx_buf ~r3:0)
+        ignore (tx ~r1:len ~r2:tx_buf ~r3:0)
   in
   let pump_rx () =
     (* Drain every frame the device has buffered. *)
     let continue = ref true in
     while !continue do
-      match exec "rx" ~r1:0 ~r2:rx_buf ~r3:0 with
+      match rx ~r1:0 ~r2:rx_buf ~r3:0 with
       | Ok 0 | Error _ -> continue := false
       | Ok len ->
           (* A full stash drops the frame, so copy it out only when it is
@@ -206,11 +215,11 @@ let program () =
         (fun ~src ~mode ->
           inet := Some src;
           let promisc = if mode.Message.promisc then 1 else 0 in
-          match exec "reset" ~r1:0 ~r2:0 ~r3:0 with
+          match reset ~r1:0 ~r2:0 ~r3:0 with
           | Error e -> Error e
           | Ok _ -> (
               let rec wait_ready () =
-                match exec "cmdstat" ~r1:0 ~r2:0 ~r3:0 with
+                match cmdstat ~r1:0 ~r2:0 ~r3:0 with
                 | Ok bits when bits land 0x10 <> 0 ->
                     Api.sleep 10_000;
                     wait_ready ()
@@ -219,7 +228,7 @@ let program () =
               match wait_ready () with
               | Error e -> Error e
               | Ok _ -> (
-                  match exec "setup" ~r1:0 ~r2:0 ~r3:promisc with
+                  match setup ~r1:0 ~r2:0 ~r3:promisc with
                   | Ok _ -> Ok (regs.(5) lor (regs.(6) lsl 32))
                   | Error e -> Error e)));
       nh_writev =
@@ -234,13 +243,13 @@ let program () =
       nh_getstat = (fun ~src:_ -> (0, 0, 0));
       nh_irq =
         (fun ~line:_ ->
-          match exec "isr" ~r1:0 ~r2:0 ~r3:0 with
+          match isr ~r1:0 ~r2:0 ~r3:0 with
           | Error _ -> ()
           | Ok bits ->
               if bits land isr_err <> 0 then Api.panic "dp8390: device reported an error";
               if bits land isr_rx <> 0 then pump_rx ();
               if bits land isr_tx <> 0 then begin
-                ignore (exec "txack" ~r1:0 ~r2:0 ~r3:0);
+                ignore (txack ~r1:0 ~r2:0 ~r3:0);
                 tx_busy := false;
                 (match !inet with
                 | Some dst -> Driver_lib.task_reply dst ~sent:true ~received:false ~read_len:0

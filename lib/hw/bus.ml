@@ -27,13 +27,13 @@ let rec find port = function
   | [] -> unclaimed
   | c :: rest -> if port >= c.base && port < c.base + c.len then c else find port rest
 
-let io t op =
-  match op with
-  | `In port ->
-      let c = find port t.claims in
-      if c == unclaimed then Ok 0xFFFF_FFFF else c.handler ~reg:(port - c.base) Read
-  | `Out (port, value) ->
-      let c = find port t.claims in
-      if c == unclaimed then Ok 0 else c.handler ~reg:(port - c.base) (Write value)
+let io_in t port =
+  let c = find port t.claims in
+  if c == unclaimed then Ok 0xFFFF_FFFF else c.handler ~reg:(port - c.base) Read
 
-let attach t kernel = Resilix_kernel.Kernel.set_io_handler kernel (io t)
+let io_out t port value =
+  let c = find port t.claims in
+  if c == unclaimed then Ok ()
+  else match c.handler ~reg:(port - c.base) (Write value) with Ok _ -> Ok () | Error e -> Error e
+
+let attach t kernel = Resilix_kernel.Kernel.set_io_handlers kernel ~io_in:(io_in t) ~io_out:(io_out t)

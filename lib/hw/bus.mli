@@ -21,8 +21,11 @@ val register : t -> base:int -> len:int -> (reg:int -> access -> (int, Resilix_p
 val attach : t -> Resilix_kernel.Kernel.t -> unit
 (** Install this bus as the kernel's I/O handler. *)
 
-val io : t -> [ `In of int | `Out of int * int ] -> (int, Resilix_proto.Errno.t) result
-(** Raw access (what the kernel calls).  Unclaimed ports float:
-    reads return [0xFFFFFFFF], writes are dropped — like real ISA
-    buses, and deliberately forgiving to corrupted drivers whose port
-    arithmetic went wrong inside their own range. *)
+val io_in : t -> int -> (int, Resilix_proto.Errno.t) result
+(** Raw port read (what the kernel calls).  Unclaimed ports float:
+    reads return [0xFFFFFFFF] — like real ISA buses, and deliberately
+    forgiving to corrupted drivers whose port arithmetic went wrong
+    inside their own range. *)
+
+val io_out : t -> int -> int -> (unit, Resilix_proto.Errno.t) result
+(** Raw port write; writes to unclaimed ports are dropped. *)

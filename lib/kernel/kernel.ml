@@ -75,6 +75,7 @@ type proc = {
   p_name : string;
   p_args : string list;
   mutable priv : Privilege.t;
+  mutable kcalls : int; (* [Sysif.kcall_mask priv.kcalls], kept with [priv] *)
   memory : Memory.t;
   mutable state : pstate;
   mutable kill_pending : Status.exit_status option;
@@ -97,7 +98,8 @@ type t = {
   mutable procs : proc option array;
   mutable slot_gen : int array; (* next generation per slot *)
   programs : (string, unit -> unit) Hashtbl.t;
-  mutable io_handler : [ `In of int | `Out of int * int ] -> (int, Errno.t) result;
+  mutable io_in : int -> (int, Errno.t) result;
+  mutable io_out : int -> int -> (unit, Errno.t) result;
   irq_table : (int, int) Hashtbl.t; (* line -> slot *)
   iommu : (int, iommu_entry) Hashtbl.t;
   mutable next_dma_handle : int;
@@ -116,7 +118,8 @@ let create ~engine ~trace ~rng ?(costs = default_costs) ?metrics () =
     procs = Array.make 64 None;
     slot_gen = Array.make 64 0;
     programs = Hashtbl.create 32;
-    io_handler = (fun _ -> Error Errno.E_io);
+    io_in = (fun _ -> Error Errno.E_io);
+    io_out = (fun _ _ -> Error Errno.E_io);
     irq_table = Hashtbl.create 16;
     iommu = Hashtbl.create 16;
     next_dma_handle = 1;
@@ -141,7 +144,11 @@ let create ~engine ~trace ~rng ?(costs = default_costs) ?metrics () =
 let engine t = t.engine
 let trace t = t.trace
 let metrics t = t.metrics
-let set_io_handler t handler = t.io_handler <- handler
+
+let set_io_handlers t ~io_in ~io_out =
+  t.io_in <- io_in;
+  t.io_out <- io_out
+
 let register_program t key main = Hashtbl.replace t.programs key main
 
 let log t fmt = Trace.emit t.trace ~now:(Engine.now t.engine) Trace.Debug "kernel" fmt
@@ -212,10 +219,22 @@ let resume_soon t proc k ~cost v =
   | None when Engine.try_advance t.engine ~after:cost -> Effect.Deep.continue k v
   | None | Some _ -> resume_after t proc k ~cost v
 
+(* [Privctl] is the only writer of [priv] after [make_proc]; like
+   [make_proc], it recomputes the kernel-call mask with it. *)
+let set_priv proc priv =
+  proc.priv <- priv;
+  proc.kcalls <- Sysif.kcall_mask priv.Privilege.kcalls
+
+(* Privilege gate for kernel calls: one bit of the caller's mask. *)
+let kcall_denied proc op =
+  let i = Sysif.kcall_index op in
+  i >= 0 && proc.kcalls land (1 lsl i) = 0
+
+let devio_bit = 1 lsl Sysif.kcall_index (Sysif.Devio_in 0)
+
 (* The [devio] kernel-call gate, in the order the general path checks
    kernel calls: the call itself, then the port range. *)
-let devio_allowed proc port =
-  Privilege.allows proc.priv.Privilege.kcalls "devio" && Privilege.allows_port proc.priv port
+let devio_allowed proc port = proc.kcalls land devio_bit <> 0 && Privilege.allows_port proc.priv port
 
 (* Wake a process blocked in Recv_wait with result [v]. *)
 let wake_receiver t proc ~cost v =
@@ -441,7 +460,7 @@ let do_safecopy t (caller : proc) ~dir ~owner ~grant_id ~grant_off ~local_addr ~
       | Some g -> (
           let caller_ep = ep_of_proc caller in
           if not (Endpoint.equal g.for_ caller_ep) then Error Errno.E_no_perm
-          else if grant_off < 0 || len < 0 || grant_off + len > g.len then Error Errno.E_range
+          else if grant_off < 0 || len < 0 || grant_off > g.len - len then Error Errno.E_range
           else
             let access_ok =
               match (dir, g.access) with
@@ -466,12 +485,6 @@ let do_safecopy t (caller : proc) ~dir ~owner ~grant_id ~grant_off ~local_addr ~
 
 (* Return [v] from a scheduled syscall after the fixed syscall cost. *)
 let ret t proc k v = resume_after t proc k ~cost:t.costs.syscall v
-
-(* Privilege gate for kernel calls. *)
-let kcall_denied proc op =
-  match Sysif.kcall_name op with
-  | None -> false
-  | Some name -> not (Privilege.allows proc.priv.Privilege.kcalls name)
 
 (* Start a fiber for [proc] running [body], scheduled [delay] from now.
    The fiber's first act is a [Sleep delay] syscall, so a process that
@@ -517,15 +530,14 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
         resume_soon t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
-        resume_soon t proc k ~cost:t.costs.devio (t.io_handler (`In port))
+        resume_soon t proc k ~cost:t.costs.devio (t.io_in port)
       end
   | Sysif.Devio_out (port, value) ->
       if not (devio_allowed proc port) then
         resume_soon t proc k ~cost:t.costs.syscall (Error Errno.E_no_perm)
       else begin
         Metrics.incr t.ctr.c_devios;
-        let r = match t.io_handler (`Out (port, value)) with Ok _ -> Ok () | Error e -> Error e in
-        resume_soon t proc k ~cost:t.costs.devio r
+        resume_soon t proc k ~cost:t.costs.devio (t.io_out port value)
       end
   | Sysif.My_memory -> continue k proc.memory
   | Sysif.Now -> continue k (Engine.now t.engine)
@@ -644,7 +656,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
           (do_safecopy t proc ~dir ~owner ~grant_id:grant ~grant_off ~local_addr ~len)
   | Sysif.Grant_create { for_; base; len; access } ->
       if kcall_denied proc op then ret t proc k (Error Errno.E_no_perm)
-      else if base < 0 || len < 0 || base + len > Memory.size proc.memory then
+      else if base < 0 || len < 0 || base > Memory.size proc.memory - len then
         ret t proc k (Error Errno.E_range)
       else begin
         let id = proc.next_grant in
@@ -731,7 +743,7 @@ and handle_syscall : type a. t -> proc -> a Sysif.syscall -> (a, unit) Effect.De
         | Lookup_stale -> ret t proc k (Error Errno.E_dead_src_dst)
         | Lookup_bad -> ret t proc k (Error Errno.E_bad_endpoint)
         | Lookup_ok target_proc ->
-            target_proc.priv <- priv;
+            set_priv target_proc priv;
             ret t proc k (Ok ())
       end
 
@@ -770,6 +782,7 @@ and make_proc t ~slot ~name ~args ~priv ~mem_kb =
       p_name = name;
       p_args = args;
       priv;
+      kcalls = Sysif.kcall_mask priv.Privilege.kcalls;
       memory = Memory.create ~size:(mem_kb * 1024);
       state = Running (* immediately parked by start_fiber *);
       kill_pending = None;
@@ -825,7 +838,6 @@ let kill t ep status =
   | Lookup_stale -> Error Errno.E_dead_src_dst
   | Lookup_bad -> Error Errno.E_bad_endpoint
   | Lookup_ok proc ->
-      Metrics.incr t.ctr.c_kills;
       do_kill t proc status;
       Ok ()
 
@@ -867,7 +879,7 @@ let dma t ~handle ~off ~op =
           | None -> Error Errno.E_no_perm
           | Some g -> (
               let len = match op with `Read n -> n | `Write b -> Bytes.length b in
-              if off < 0 || len < 0 || off + len > g.len then Error Errno.E_range
+              if off < 0 || len < 0 || off > g.len - len then Error Errno.E_range
               else
                 try
                   match op with

@@ -140,9 +140,11 @@ val deliver_signal : t -> Endpoint.t -> Signal.t -> (unit, Errno.t) result
 
 (** {1 Hardware-facing interface (wired by the system builder)} *)
 
-val set_io_handler : t -> ([ `In of int | `Out of int * int ] -> (int, Errno.t) result) -> unit
-(** Install the I/O-port bus backend; the kernel routes privileged
-    [Devio_*] kernel calls through it. *)
+val set_io_handlers :
+  t -> io_in:(int -> (int, Errno.t) result) -> io_out:(int -> int -> (unit, Errno.t) result) -> unit
+(** Install the I/O-port bus backend: a privileged [Devio_in port]
+    returns [io_in port], a [Devio_out (port, value)] returns
+    [io_out port value]. *)
 
 val raise_irq : t -> int -> unit
 (** Called by device models: delivers an [N_irq] notification to the

@@ -6,7 +6,7 @@ let create ~size = { data = Bytes.make size '\000' }
 let size t = Bytes.length t.data
 
 let check t ~addr ~len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length t.data then raise (Fault { addr; len })
+  if addr < 0 || len < 0 || addr > Bytes.length t.data - len then raise (Fault { addr; len })
 
 let read t ~addr ~len =
   check t ~addr ~len;

@@ -102,24 +102,37 @@ exception Killed_exn of Status.exit_status
 (* Raised by [Api.panic]. *)
 exception Panic_exn of string
 
-(* The name under which each kernel call is privilege-checked, or
-   [None] when the operation is unrestricted. *)
-let kcall_name : type a. a syscall -> string option = function
-  | Safecopy _ -> Some "safecopy"
-  | Grant_create _ -> Some "grant_create"
-  | Grant_revoke _ -> Some "grant_revoke"
-  | Devio_in _ | Devio_out _ -> Some "devio"
-  | Irq_register _ -> Some "irqctl"
-  | Alarm _ -> Some "alarm"
-  | Iommu_map _ | Iommu_unmap _ -> Some "iommu_map"
-  | Proc_create _ -> Some "proc_create"
-  | Proc_kill _ -> Some "proc_kill"
-  | Reap_exit -> Some "reap_exit"
-  | Privctl _ -> Some "privctl"
+(* The privilege-checked kernel calls, by the name [Privilege.kcalls]
+   lists them under.  A call's index here is also its bit in the
+   kernel's per-process mask ([kcall_mask]), so a name and its bit
+   cannot drift apart. *)
+let kcall_names =
+  [| "safecopy"; "grant_create"; "grant_revoke"; "devio"; "irqctl"; "alarm"; "iommu_map";
+     "proc_create"; "proc_kill"; "reap_exit"; "privctl" |]
+
+let kcall_index : type a. a syscall -> int = function
+  | Safecopy _ -> 0
+  | Grant_create _ -> 1
+  | Grant_revoke _ -> 2
+  | Devio_in _ | Devio_out _ -> 3
+  | Irq_register _ -> 4
+  | Alarm _ -> 5
+  | Iommu_map _ | Iommu_unmap _ -> 6
+  | Proc_create _ -> 7
+  | Proc_kill _ -> 8
+  | Reap_exit -> 9
+  | Privctl _ -> 10
   | Send _ | Asend _ | Receive _ | Sendrec _ | Notify _ | Sleep _ | Yield _ | Now | Self
   | My_memory | My_args | My_name | Random _ | Exit _ | Obs_emit _ | Metric_add _
   | Metric_observe _ | Metric_set _ | Metric_counter _ | Metric_gauge _ | Metric_histogram _ ->
-      None
+      -1
+
+let kcall_mask allow =
+  let mask = ref 0 in
+  Array.iteri
+    (fun i name -> if Privilege.allows allow name then mask := !mask lor (1 lsl i))
+    kcall_names;
+  !mask
 
 (* Convenience wrappers used by all process code. *)
 module Api = struct

@@ -102,10 +102,18 @@ exception Killed_exn of Status.exit_status
 exception Panic_exn of string
 (** Raised by {!Api.panic}; the kernel records a [Panicked] exit. *)
 
-val kcall_name : 'a syscall -> string option
-(** The name under which a kernel call is privilege-checked against
-    the caller's [kcalls] list, or [None] for unrestricted
-    operations (IPC is checked separately, per destination). *)
+val kcall_names : string array
+(** The privilege-checked kernel calls, by the name a [kcalls] list
+    uses.  Index [i] is bit [i] of a {!kcall_mask}. *)
+
+val kcall_index : 'a syscall -> int
+(** The index in {!kcall_names} under which a kernel call is
+    privilege-checked, or [-1] for unrestricted operations (IPC is
+    checked separately, per destination). *)
+
+val kcall_mask : Privilege.allow -> int
+(** The kernel calls a [kcalls] list permits, as a bit mask over
+    {!kcall_names}.  Names outside the table set no bit. *)
 
 (** The process-side system library. *)
 module Api : sig

@@ -42,13 +42,19 @@ let driver ~ipc_to ~io_ports ~irqs =
     may_complain = false;
   }
 
-let allows a name = match a with All -> true | Only names -> List.mem name names
+(* These are checked on every message and mediated port access, so
+   plain monomorphic recursions rather than the polymorphic compare of
+   [List.mem] or a closure per call. *)
+let rec name_in name = function [] -> false | n :: rest -> String.equal n name || name_in name rest
 
-(* Checked on every mediated port access, so a plain recursion rather
-   than [List.exists] and a closure per call. *)
+let allows a name = match a with All -> true | Only names -> name_in name names
+
 let rec port_in_ranges p = function
   | [] -> false
   | (lo, hi) :: rest -> (p >= lo && p <= hi) || port_in_ranges p rest
 
 let allows_port t p = port_in_ranges p t.io_ports
-let allows_irq t i = List.mem i t.irqs
+
+let rec int_in i = function [] -> false | j :: rest -> Int.equal j i || int_in i rest
+
+let allows_irq t i = int_in i t.irqs

@@ -7,11 +7,18 @@ module Signal = Resilix_proto.Signal
 exception Check_failed of { index : int; detail : string }
 exception Io_failed of { port : int }
 
-type program = { base : int; insn_count : int; decoded : Isa.decoded array; words : int array }
+type program = {
+  mem : Memory.t;
+  base : int;
+  insn_count : int;
+  decoded : Isa.decoded array;
+  words : int array;
+}
 
 (* [-1] is no 32-bit word, so a fresh slot misses on its first fetch. *)
-let make ~base ~insn_count =
+let make ~mem ~base ~insn_count =
   {
+    mem;
     base;
     insn_count;
     decoded = Array.make insn_count Isa.D_nop;
@@ -21,7 +28,7 @@ let make ~base ~insn_count =
 let load ~base image =
   let mem = Api.memory () in
   Memory.write mem ~addr:base image;
-  make ~base ~insn_count:(Bytes.length image / Isa.instr_size)
+  make ~mem ~base ~insn_count:(Bytes.length image / Isa.instr_size)
 
 let mask32 v = v land 0xFFFF_FFFF
 let sigill = Sysif.Killed_exn (Status.Killed Signal.Sig_ill)
@@ -54,7 +61,7 @@ let fetch mem program index =
 
 let run ?(fuel_slice = 32) program ~regs =
   if Array.length regs <> 8 then invalid_arg "Interp.run: want 8 registers";
-  let mem = Api.memory () in
+  let mem = program.mem in
   let pc = ref 0 in
   let fuel = ref fuel_slice in
   let running = ref true in

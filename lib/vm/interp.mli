@@ -15,6 +15,8 @@
     - Runaway loops never return to the driver's message loop, so
       heartbeats go unanswered — class 4. *)
 
+module Memory := Resilix_kernel.Memory
+
 exception Check_failed of { index : int; detail : string }
 (** A [Chk*] consistency check failed: the driver detected an
     internal inconsistency. *)
@@ -24,7 +26,10 @@ exception Io_failed of { port : int }
     outside the driver's privilege range). *)
 
 type program = private {
-  base : int;  (** address of the loaded image in the process *)
+  mem : Memory.t;
+      (** the address space the program was loaded into: the calling
+          process's own, fixed for the life of that process *)
+  base : int;  (** address of the loaded image in [mem] *)
   insn_count : int;  (** number of encoded instructions *)
   decoded : Isa.decoded array;  (** decode cache, one slot per instruction *)
   words : int array;
@@ -37,8 +42,8 @@ type program = private {
     invalidation: any write to the image — fault injection, a wild
     store, a copy into code — is seen on the next fetch. *)
 
-val make : base:int -> insn_count:int -> program
-(** Describe [insn_count] instructions already in memory at [base],
+val make : mem:Memory.t -> base:int -> insn_count:int -> program
+(** Describe [insn_count] instructions already in [mem] at [base],
     with an empty decode cache.  The only constructor.
     @raise Invalid_argument if [insn_count] is negative. *)
 
@@ -47,7 +52,9 @@ val load : base:int -> bytes -> program
     [base] and describe it.  Must be performed from inside a fiber. *)
 
 val run : ?fuel_slice:int -> program -> regs:int array -> int
-(** Execute from instruction 0 until [Ret], returning r0.  [regs] is
+(** Execute from instruction 0 until [Ret], returning r0.  Fetches,
+    loads and stores use the program's [mem]; the only effects it
+    performs are [Yield] and the [Devio_*] kernel calls.  [regs] is
     the 8-register file (mutated in place; index 0 = r0), which is how
     the OCaml part of a driver passes parameters in and reads results
     out.  Every [fuel_slice] instructions (default 32) the interpreter

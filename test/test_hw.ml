@@ -33,16 +33,16 @@ let test_bus_routing () =
           log := ("write", v) :: !log;
           Ok 0);
   Alcotest.(check (result int Alcotest.reject)) "read routes with relative reg" (Ok 0x42)
-    (Bus.io bus (`In 0x102));
-  ignore (Bus.io bus (`Out (0x103, 99)));
+    (Bus.io_in bus 0x102);
+  ignore (Bus.io_out bus 0x103 99);
   Alcotest.(check (list (pair string int))) "accesses seen" [ ("write", 99); ("read", 2) ] !log
 
 let test_bus_unclaimed_floats () =
   let bus = Bus.create () in
   Alcotest.(check (result int Alcotest.reject)) "unclaimed port reads all-ones" (Ok 0xFFFF_FFFF)
-    (Bus.io bus (`In 0x999));
-  Alcotest.(check (result int Alcotest.reject)) "unclaimed write swallowed" (Ok 0)
-    (Bus.io bus (`Out (0x999, 1)))
+    (Bus.io_in bus 0x999);
+  Alcotest.(check (result unit Alcotest.reject)) "unclaimed write swallowed" (Ok ())
+    (Bus.io_out bus 0x999 1)
 
 let test_bus_overlap_rejected () =
   let bus = Bus.create () in
@@ -198,9 +198,9 @@ let test_audio_underruns () =
   (* Feed 4 KB of samples and start playback: at 100 KB/s the FIFO
      drains in ~40 ms and the device underruns afterwards. *)
   for _ = 1 to 1024 do
-    ignore (Bus.io bus (`Out (0x382, 0xABCD)))
+    ignore (Bus.io_out bus 0x382 0xABCD)
   done;
-  ignore (Bus.io bus (`Out (0x381, 1)));
+  ignore (Bus.io_out bus 0x381 1);
   Engine.run engine ~until:500_000;
   Alcotest.(check int) "all samples played" 4096 (Audio_dev.bytes_played audio);
   Alcotest.(check bool) "underruns counted after starvation" true (Audio_dev.underruns audio > 0)
@@ -211,8 +211,8 @@ let test_printer_prints_in_order () =
   let printer =
     Printer_dev.create ~kernel ~bus ~base:0x390 ~irq:6 ~rng:(Rng.create ~seed:1) ()
   in
-  ignore (Bus.io bus (`Out (0x391, 1)));
-  String.iter (fun c -> ignore (Bus.io bus (`Out (0x392, Char.code c)))) "hello paper";
+  ignore (Bus.io_out bus 0x391 1);
+  String.iter (fun c -> ignore (Bus.io_out bus 0x392 (Char.code c))) "hello paper";
   Engine.run engine ~until:2_000_000;
   Alcotest.(check string) "bytes printed in order" "hello paper" (Printer_dev.printed printer)
 
@@ -222,7 +222,7 @@ let test_cd_gap_ruins_disc () =
   let cd =
     Cd_dev.create ~kernel ~bus ~base:0x3A0 ~irq:7 ~rng:(Rng.create ~seed:1) ~gap_timeout:100_000 ()
   in
-  ignore (Bus.io bus (`Out (0x3A1, 0x01))) (* start session *);
+  ignore (Bus.io_out bus 0x3A1 0x01) (* start session *);
   (match Cd_dev.disc cd with
   | Cd_dev.In_session -> ()
   | _ -> Alcotest.fail "session should be open");
@@ -241,13 +241,13 @@ let test_nic_wedges_on_garbage_and_master_reset () =
       ~rng:(Rng.create ~seed:1) ~wedge_prob:1.0 ~has_master_reset:false ()
   in
   (* Garbage CMD bits wedge the chip (wedge_prob = 1). *)
-  ignore (Bus.io bus (`Out (0x301, 0xE0)));
+  ignore (Bus.io_out bus 0x301 0xE0);
   Alcotest.(check bool) "nic wedged" true (Nic8139.wedged nic);
   (* Software reset is ignored when there is no master reset... *)
-  ignore (Bus.io bus (`Out (0x301, 0x10)));
+  ignore (Bus.io_out bus 0x301 0x10);
   Alcotest.(check bool) "still wedged after reset" true (Nic8139.wedged nic);
   Alcotest.(check (result int Alcotest.reject)) "registers read all-ones" (Ok 0xFFFF_FFFF)
-    (Bus.io bus (`In 0x300));
+    (Bus.io_in bus 0x300);
   (* ... only the out-of-band BIOS reset clears it (Sec. 7.2). *)
   Nic8139.bios_reset nic;
   Alcotest.(check bool) "bios reset clears the wedge" false (Nic8139.wedged nic)

@@ -46,6 +46,11 @@ let spawn kernel name body =
 
 let errno = Alcotest.testable Errno.pp Errno.equal
 
+(* Route every port access through [f]: a read returns its result, a
+   write its success. *)
+let set_io kernel f =
+  Kernel.set_io_handlers kernel ~io_in:f ~io_out:(fun port _ -> Result.map ignore (f port))
+
 let test_rendezvous_send_receive () =
   let engine, kernel = make_kernel () in
   let got = ref None in
@@ -362,7 +367,7 @@ let test_kcall_privilege_enforced () =
 
 let test_io_port_privilege () =
   let engine, kernel = make_kernel () in
-  Kernel.set_io_handler kernel (fun _ -> Ok 0xAB);
+  set_io kernel (fun _ -> Ok 0xAB);
   let in_range = ref None and out_of_range = ref None in
   Kernel.register_program kernel "drv" (fun () ->
       in_range := Some (Api.devio_in 0x300);
@@ -395,7 +400,7 @@ let test_devio_cost_contract () =
   let n = 50 in
   let run_driver priv body =
     let engine, kernel = make_kernel () in
-    Kernel.set_io_handler kernel (fun _ -> Ok 0xAB);
+    set_io kernel (fun _ -> Ok 0xAB);
     let elapsed = ref (-1) in
     Kernel.register_program kernel "drv" (fun () ->
         let t0 = Api.now () in
@@ -448,7 +453,7 @@ let test_spin_resumes_in_place () =
   let costs = Kernel.default_costs in
   let spin n =
     let engine, kernel = make_kernel () in
-    Kernel.set_io_handler kernel (fun _ -> Ok 0);
+    set_io kernel (fun _ -> Ok 0);
     let elapsed = ref (-1) in
     ignore
       (spawn kernel "drv" (fun () ->
@@ -484,7 +489,7 @@ let test_same_instant_competitor () =
       let kernel =
         Kernel.create ~engine ~trace:(Trace.create ()) ~rng:(Rng.create ~seed:1) ()
       in
-      Kernel.set_io_handler kernel (fun _ -> Ok 0);
+      set_io kernel (fun _ -> Ok 0);
       let count = ref 0 and seen = ref (-1) and elapsed = ref (-1) in
       ignore
         (spawn kernel "drv" (fun () ->
@@ -511,7 +516,7 @@ let test_same_instant_competitor () =
 let test_kill_during_devio () =
   let engine, kernel = make_kernel () in
   let accesses = ref 0 and count = ref 0 and drv = ref None in
-  Kernel.set_io_handler kernel (fun _ ->
+  set_io kernel (fun _ ->
       incr accesses;
       (if !accesses = 5 then
          match !drv with
@@ -537,7 +542,7 @@ let test_kill_during_devio () =
    syscall (figures pinned from that implementation). *)
 let test_run_until_spin_pinned () =
   let engine, kernel = make_kernel () in
-  Kernel.set_io_handler kernel (fun _ -> Ok 0);
+  set_io kernel (fun _ -> Ok 0);
   let count = ref 0 in
   ignore
     (spawn kernel "drv" (fun () ->
@@ -928,6 +933,207 @@ let test_sendrec_allocation () =
   let w = sendrec_words ~rounds:5000 in
   Alcotest.(check bool) (Printf.sprintf "%.1f words per round trip <= 185" w) true (w <= 185.)
 
+(* One [Kernel.kill] of a sleeping process is one kill and one exit. *)
+let test_kill_counts_once () =
+  let engine, kernel = make_kernel () in
+  let victim = spawn kernel "victim" (fun () -> Api.sleep 1_000_000) in
+  let before = Kernel.Stats.snapshot kernel in
+  ignore
+    (Engine.schedule engine ~after:10_000 (fun () ->
+         ignore (Kernel.kill kernel victim (Status.Killed Signal.Sig_kill))));
+  Engine.run engine;
+  let d = Kernel.Stats.diff before (Kernel.Stats.snapshot kernel) in
+  Alcotest.(check (pair int int)) "kills, exits" (1, 1) (d.Kernel.Stats.kills, d.Kernel.Stats.exits)
+
+(* Range checks must not wrap: [grant_off + len] with [len = max_int]
+   is negative, and a check in that form would let the copy through
+   to [Bytes.blit], whose exception would take down the whole run. *)
+let test_safecopy_length_overflow () =
+  let engine, kernel = make_kernel () in
+  let outcome = ref None in
+  let owner =
+    spawn kernel "owner" (fun () ->
+        (match Api.receive Sysif.Any with
+        | Ok (Sysif.Rx_msg { src; _ }) ->
+            let g =
+              match Api.grant_create ~for_:src ~base:0 ~len:16 ~access:Sysif.Read_write with
+              | Ok g -> g
+              | Error _ -> Api.panic "grant failed"
+            in
+            ignore (Api.send src (Message.Dev_reply { result = Ok g }))
+        | _ -> ());
+        Api.sleep 10_000)
+  in
+  ignore
+    (spawn kernel "client" (fun () ->
+         match Api.sendrec owner Message.Ok_reply with
+         | Ok (Sysif.Rx_msg { body = Message.Dev_reply { result = Ok g }; _ }) ->
+             outcome :=
+               Some (Api.safecopy_from ~owner ~grant:g ~grant_off:1 ~local_addr:1 ~len:max_int)
+         | _ -> ()));
+  (match Engine.run engine with
+  | () -> ()
+  | exception e -> Alcotest.failf "Engine.run raised %s" (Printexc.to_string e));
+  match !outcome with
+  | Some (Error Errno.E_range) -> ()
+  | _ -> Alcotest.fail "expected E_range for a wrapping copy length"
+
+let test_grant_create_length_overflow () =
+  let engine, kernel = make_kernel () in
+  let outcome = ref None in
+  ignore
+    (spawn kernel "owner" (fun () ->
+         outcome :=
+           Some
+             (Api.grant_create ~for_:Wellknown.hardware ~base:1 ~len:max_int
+                ~access:Sysif.Read_only)));
+  Engine.run engine;
+  match !outcome with
+  | Some (Error Errno.E_range) -> ()
+  | _ -> Alcotest.fail "expected E_range for a wrapping grant length"
+
+(* [Privctl] is the one run-time writer of a process's privileges: a
+   revoked [devio] is denied on the very next access, and restoring it
+   lets the driver touch its ports again. *)
+let test_privctl_revokes_devio () =
+  let engine, kernel = make_kernel () in
+  set_io kernel (fun _ -> Ok 0xAB);
+  let io_priv =
+    {
+      Privilege.none with
+      Privilege.ipc_to = Privilege.All;
+      kcalls = Privilege.Only [ "devio"; "alarm" ];
+      io_ports = [ (0x300, 0x30F) ];
+    }
+  in
+  let results = ref [] in
+  Kernel.register_program kernel "drv" (fun () ->
+      for _ = 1 to 3 do
+        results := Api.devio_in 0x300 :: !results;
+        Api.sleep 1000
+      done);
+  let drv =
+    match Kernel.spawn_dynamic kernel ~name:"drv" ~program:"drv" ~args:[] ~priv:io_priv ~mem_kb:64 with
+    | Ok e -> e
+    | Error _ -> Alcotest.fail "spawn"
+  in
+  ignore
+    (spawn kernel "rs" (fun () ->
+         Api.sleep 500;
+         ignore (Api.privctl drv { io_priv with Privilege.kcalls = Privilege.Only [ "alarm" ] });
+         Api.sleep 1000;
+         ignore (Api.privctl drv io_priv)));
+  Engine.run engine;
+  Alcotest.(check (list (result int errno)))
+    "allowed, revoked, restored"
+    [ Ok 0xAB; Error Errno.E_no_perm; Ok 0xAB ]
+    (List.rev !results)
+
+(* Each privilege-checked kernel call, by the name a [kcalls] list
+   names it, with a call whose outcome is [E_no_perm] only when the
+   kernel denies it.  The process starts with every kernel call, makes
+   a hardware grant, then drops to the privileges under test; an exit
+   is queued for [reap_exit] to collect. *)
+let kcall_probes ~hw_grant =
+  let bad = Endpoint.make ~slot:999 ~gen:1 in
+  let perm = function Error Errno.E_no_perm -> true | Ok _ | Error _ -> false in
+  [
+    ( "safecopy",
+      fun () ->
+        perm (Api.safecopy_from ~owner:bad ~grant:1 ~grant_off:0 ~local_addr:0 ~len:1) );
+    ( "grant_create",
+      fun () -> perm (Api.grant_create ~for_:bad ~base:0 ~len:8 ~access:Sysif.Read_only) );
+    ("grant_revoke", fun () -> perm (Api.grant_revoke 99));
+    ("devio", fun () -> perm (Api.devio_in 0x300));
+    ("devio", fun () -> perm (Api.devio_out 0x300 1));
+    ("irqctl", fun () -> perm (Api.irq_register 5));
+    ("alarm", fun () -> perm (Api.alarm 0));
+    ("iommu_map", fun () -> perm (Api.iommu_map hw_grant));
+    ("iommu_map", fun () -> perm (Api.iommu_unmap 99));
+    ( "proc_create",
+      fun () ->
+        perm
+          (Api.proc_create ~name:"x" ~program:"no-such-program" ~args:[] ~priv:Privilege.none
+             ~mem_kb:4) );
+    ("proc_kill", fun () -> perm (Api.proc_kill bad Signal.Sig_kill));
+    ("reap_exit", fun () -> Api.reap_exit () = None);
+    ("privctl", fun () -> perm (Api.privctl bad Privilege.none));
+  ]
+
+(* [All], or a random subset of the table's names plus one name the
+   kernel does not check. *)
+let kcalls_arb =
+  let names = Array.to_list Sysif.kcall_names in
+  QCheck.make ~print:Privilege.show_allow
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return Privilege.All);
+          ( 5,
+            map
+              (fun keep ->
+                Privilege.Only ("times" :: List.filteri (fun i _ -> keep land (1 lsl i) <> 0) names))
+              (int_bound ((1 lsl List.length names) - 1)) );
+        ])
+
+let prop_kcall_mask_matches_names =
+  QCheck.Test.make ~name:"kernel denies a kernel call exactly when its name is not allowed"
+    ~count:60 kcalls_arb (fun kcalls ->
+      let engine, kernel = make_kernel () in
+      set_io kernel (fun _ -> Ok 0);
+      let priv = { all_priv with Privilege.kcalls } in
+      ignore (spawn kernel "transient" (fun () -> ()));
+      let verdicts = ref [] in
+      ignore
+        (spawn kernel "probe" (fun () ->
+             Api.sleep 100;
+             let hw_grant =
+               match
+                 Api.grant_create ~for_:Wellknown.hardware ~base:0 ~len:64 ~access:Sysif.Read_write
+               with
+               | Ok g -> g
+               | Error _ -> Api.panic "grant failed"
+             in
+             ignore (Api.privctl (Api.self ()) priv);
+             verdicts :=
+               List.map (fun (name, denied) -> (name, denied ())) (kcall_probes ~hw_grant)));
+      Engine.run engine;
+      List.length !verdicts = 13
+      && List.for_all
+           (fun (name, denied) -> denied = not (Privilege.allows kcalls name))
+           !verdicts)
+
+(* Minor words one mediated [Devio_in] plus one [Devio_out] allocate,
+   averaged over [n] pairs that resume in place.  The handlers return
+   constants, so every word counted is the kernel's. *)
+let devio_pair_words ~n =
+  let engine, kernel = make_kernel () in
+  Kernel.set_io_handlers kernel ~io_in:(fun _ -> Ok 0xAB) ~io_out:(fun _ _ -> Ok ());
+  let words = ref nan in
+  ignore
+    (spawn kernel "drv" (fun () ->
+         let pair () =
+           ignore (Api.devio_in 0x300);
+           ignore (Api.devio_out 0x301 7)
+         in
+         for _ = 1 to 100 do
+           pair ()
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           pair ()
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int n));
+  Engine.run engine;
+  !words
+
+(* The I/O backend is two plain functions: a port access builds no
+   request variant and no re-wrapped result (42.0 words per pair with a
+   variant-taking handler, 33.0 now). *)
+let test_devio_allocation () =
+  let w = devio_pair_words ~n:10_000 in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per devio in+out <= 37" w) true (w <= 37.)
+
 let tests =
   [
     Alcotest.test_case "rendezvous send/receive" `Quick test_rendezvous_send_receive;
@@ -966,4 +1172,10 @@ let tests =
     Alcotest.test_case "2M-yield chain" `Quick test_long_yield_chain;
     Alcotest.test_case "kill at every wait unwinds once" `Quick test_kill_at_every_wait;
     Alcotest.test_case "sendrec allocation bound" `Quick test_sendrec_allocation;
+    Alcotest.test_case "one kill counts once" `Quick test_kill_counts_once;
+    Alcotest.test_case "safecopy length cannot wrap" `Quick test_safecopy_length_overflow;
+    Alcotest.test_case "grant_create length cannot wrap" `Quick test_grant_create_length_overflow;
+    Alcotest.test_case "privctl revokes and restores devio" `Quick test_privctl_revokes_devio;
+    QCheck_alcotest.to_alcotest prop_kcall_mask_matches_names;
+    Alcotest.test_case "devio allocation bound" `Quick test_devio_allocation;
   ]

@@ -370,7 +370,7 @@ let prop_warm_cache_matches_cold =
             let program = Interp.load ~base (Isa.assemble demo_code) in
             intact := Some (outcome_of (fun () -> run_regs program));
             Memory.set_u8 (Api.memory ()) (base + off) byte;
-            let program = if warm then program else Interp.make ~base ~insn_count in
+            let program = if warm then program else Interp.make ~mem:(Api.memory ()) ~base ~insn_count in
             result := Some (outcome_of (fun () -> run_regs program)));
         (match
            Kernel.spawn_dynamic kernel ~name:"t" ~program:"t" ~args:[] ~priv:all_priv ~mem_kb:64
@@ -429,6 +429,38 @@ let test_alu_loop_allocation () =
         (words <= alu_words_per_insn_bound)
   | None -> Alcotest.fail "program did not finish"
 
+(* Minor words one warm run of a three-instruction device program
+   (in, check, ret) allocates, averaged over [n] runs: the program
+   carries its memory, so the interpreter's only effect is the port
+   read. *)
+let short_run_words ~n =
+  let engine, kernel = make_kernel () in
+  Kernel.set_io_handlers kernel ~io_in:(fun _ -> Ok 3) ~io_out:(fun _ _ -> Ok ());
+  let words = ref nan in
+  Kernel.register_program kernel "t" (fun () ->
+      let program = Interp.load ~base (Isa.assemble Isa.[ In (R0, 0x300); Chklt (R0, 16); Ret ]) in
+      let regs = Array.make 8 0 in
+      for _ = 1 to 100 do
+        ignore (Interp.run program ~regs)
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Interp.run program ~regs)
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  (match Kernel.spawn_dynamic kernel ~name:"t" ~program:"t" ~args:[] ~priv:all_priv ~mem_kb:64 with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "spawn");
+  Engine.run engine;
+  !words
+
+(* 33.0 words per run when [run] fetched its memory with a
+   [My_memory] effect and a port read built a request variant, 16.0
+   now. *)
+let test_short_run_allocation () =
+  let w = short_run_words ~n:10_000 in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per short run <= 24" w) true (w <= 24.)
+
 let prop_assemble_length =
   QCheck.Test.make ~name:"assemble emits 8 bytes per real instruction" ~count:100
     QCheck.(int_range 0 50)
@@ -478,5 +510,6 @@ let tests =
     Alcotest.test_case "decode cache never holds illegal opcodes" `Quick test_cache_never_holds_illegal;
     Alcotest.test_case "self-modifying store" `Quick test_self_modifying_store;
     Alcotest.test_case "ALU loop allocation bound" `Quick test_alu_loop_allocation;
+    Alcotest.test_case "short device run allocation bound" `Quick test_short_run_allocation;
     QCheck_alcotest.to_alcotest prop_warm_cache_matches_cold;
   ]
